@@ -1,8 +1,12 @@
 #include "bench/bench_util.h"
 
+#include <sys/resource.h>
+
 #include <stdexcept>
 #include <string_view>
+#include <thread>
 
+#include "netbuf/slab_cache.h"
 #include "sim/event_loop.h"
 
 namespace ncache::bench {
@@ -55,10 +59,17 @@ bool BenchReport::write() {
           .count();
   std::uint64_t events =
       sim::EventLoop::process_dispatched() - dispatched_start_;
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const netbuf::SlabCache& slab = netbuf::SlabCache::process();
   auto wall = json::Value::object();
   wall.set("wall_ms", wall_ms);
   wall.set("events_per_sec",
            wall_ms > 0 ? double(events) / (wall_ms / 1e3) : 0.0);
+  wall.set("peak_rss_mb", double(ru.ru_maxrss) / 1024.0);
+  wall.set("nproc", std::uint64_t(std::thread::hardware_concurrency()));
+  wall.set("slab_hits", slab.hits());
+  wall.set("slab_misses", slab.misses());
   root_.set("wall", std::move(wall));
 
   std::string path = out_dir_ + "/BENCH_" + name_ + ".json";
@@ -148,6 +159,7 @@ json::Value measured_json(const testbed::Testbed& tb,
   copies.set("logical_ops", snap.server_logical_copies);
   m.set("copies", std::move(copies));
   m.set("registry", tb.metrics().to_json());
+  m.set("wall", tb.metrics().to_json(/*host_side=*/true));
   return m;
 }
 

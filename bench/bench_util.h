@@ -109,9 +109,12 @@ struct BenchOptions {
 /// tools/smoke_bench.sh compares).
 ///
 /// "wall" is the one deliberately non-deterministic block: real elapsed
-/// time between BenchReport construction and write(), plus the simulator
+/// time between BenchReport construction and write(), the simulator
 /// events dispatched per wall-clock second — the perf trajectory every
-/// bench contributes to (tools/perf_compare.py diffs these).
+/// bench contributes to (tools/perf_compare.py diffs these) — peak RSS,
+/// the host's CPU count, and the process slab's hit/miss counts. Each
+/// row's measured block carries its own "wall" with the registry's
+/// host-side counters (MetricRegistry::host_counter).
 class BenchReport {
  public:
   BenchReport(const BenchOptions& opts, std::string name,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 
 #include "common/checksum.h"
@@ -135,7 +136,52 @@ void BlockStore::inject_read_fault(std::uint64_t lbn, std::uint32_t count,
                                    DiskFaultKind kind, std::uint32_t times) {
   check_range(lbn, count);
   faults_.push_back(FaultWindow{lbn, count, kind, times});
-  verify_reads_ = true;
+  std::vector<std::byte> blk(kBlockSize);
+  for (std::uint64_t b = lbn; b < lbn + count; ++b) {
+    read_block(b, blk.data());
+    crcs_[b] = crc32(blk);
+  }
+}
+
+namespace {
+
+/// upper_bound comparator over extents sorted by first LBN.
+constexpr auto kBeforeExtent = [](std::uint64_t lbn, const auto& extent) {
+  return lbn < extent.lbn;
+};
+
+}  // namespace
+
+void BlockStore::map_extent(std::uint64_t lbn, std::uint32_t count,
+                            std::uint32_t ino, std::uint64_t offset,
+                            ContentFn fn) {
+  check_range(lbn, count);
+  auto at = std::upper_bound(extents_.begin(), extents_.end(), lbn,
+                             kBeforeExtent);
+  bool overlaps_next = at != extents_.end() && at->lbn < lbn + count;
+  bool overlaps_prev = at != extents_.begin() &&
+                       std::prev(at)->lbn + std::prev(at)->count > lbn;
+  if (overlaps_next || overlaps_prev) {
+    throw std::invalid_argument("BlockStore::map_extent: overlapping extent");
+  }
+  extents_.insert(at, Extent{lbn, count, ino, offset, fn});
+}
+
+void BlockStore::read_block(std::uint64_t lbn, std::byte* out) const {
+  if (auto it = blocks_.find(lbn); it != blocks_.end()) {
+    std::memcpy(out, it->second.get(), kBlockSize);
+    return;
+  }
+  auto at = std::upper_bound(extents_.begin(), extents_.end(), lbn,
+                             kBeforeExtent);
+  if (at != extents_.begin()) {
+    const Extent& e = *std::prev(at);
+    if (lbn < e.lbn + e.count) {
+      e.fn(e.ino, e.offset + (lbn - e.lbn) * kBlockSize, {out, kBlockSize});
+      return;
+    }
+  }
+  std::memset(out, 0, kBlockSize);
 }
 
 Task<BlockStore::ReadResult> BlockStore::read(std::uint64_t lbn,
@@ -167,19 +213,16 @@ Task<BlockStore::ReadResult> BlockStore::read(std::uint64_t lbn,
     std::size_t at = std::size_t(bad - lbn) * kBlockSize;
     out.data[at] ^= std::byte{0xFF};
   }
-  if (verify_reads_) {
-    // End-to-end integrity: per-block CRC catches what the drive missed.
-    static const std::uint32_t kZeroCrc = [] {
-      std::vector<std::byte> z(kBlockSize);
-      return crc32(z);
-    }();
+  if (!crcs_.empty()) {
+    // End-to-end integrity: the reference CRCs of armed ranges catch what
+    // the drive missed.
     for (std::uint32_t i = 0; i < count; ++i) {
       auto it = crcs_.find(lbn + i);
-      std::uint32_t want = it != crcs_.end() ? it->second : kZeroCrc;
+      if (it == crcs_.end()) continue;
       std::span<const std::byte> blk(out.data.data() +
                                          std::size_t(i) * kBlockSize,
                                      kBlockSize);
-      if (crc32(blk) != want) {
+      if (crc32(blk) != it->second) {
         ++checksum_mismatches_;
         ++read_errors_;
         out.ok = false;
@@ -213,7 +256,9 @@ void BlockStore::poke(std::uint64_t lbn, std::span<const std::byte> data) {
     auto& slot = blocks_[lbn + i];
     if (!slot) slot = std::make_unique<std::byte[]>(kBlockSize);
     std::memcpy(slot.get(), data.data() + i * kBlockSize, kBlockSize);
-    crcs_[lbn + i] = crc32({slot.get(), kBlockSize});
+    if (auto it = crcs_.find(lbn + i); it != crcs_.end()) {
+      it->second = crc32({slot.get(), kBlockSize});
+    }
   }
 }
 
@@ -222,11 +267,7 @@ std::vector<std::byte> BlockStore::peek(std::uint64_t lbn,
   check_range(lbn, count);
   std::vector<std::byte> out(std::size_t(count) * kBlockSize);
   for (std::uint32_t i = 0; i < count; ++i) {
-    auto it = blocks_.find(lbn + i);
-    if (it != blocks_.end()) {
-      std::memcpy(out.data() + std::size_t(i) * kBlockSize, it->second.get(),
-                  kBlockSize);
-    }  // else zeros
+    read_block(lbn + i, out.data() + std::size_t(i) * kBlockSize);
   }
   return out;
 }

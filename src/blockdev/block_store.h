@@ -80,21 +80,29 @@ class Raid0 {
 
 /// Injectable read-path disk faults (latent sector errors surface as a
 /// medium error; checksum mismatches deliver corrupt bytes that the
-/// per-block CRC catches).
+/// reference CRCs taken at arm time catch).
 enum class DiskFaultKind : std::uint8_t {
   LatentSectorError,
   ChecksumMismatch,
 };
 
 /// The byte contents of the array plus RAID-0 timing: the storage server's
-/// complete disk subsystem. Contents are sparse (unwritten blocks read as
-/// zeros) so multi-GB volumes cost only what is touched.
+/// complete disk subsystem. A block reads as, in order: the sparse overlay
+/// of blocks written through poke()/write(); else its registered extent's
+/// procedural content; else zeros. Populated volumes therefore cost only
+/// their metadata and later writes, whatever their size.
 class BlockStore {
  public:
   struct ReadResult {
     std::vector<std::byte> data;  ///< empty on a latent sector error
     bool ok = true;
   };
+
+  /// Procedural block contents: fills `out` with the bytes found `offset`
+  /// bytes into the stream `ino` names. A plain function pointer, so the
+  /// block layer needs nothing from the file system that registers it.
+  using ContentFn = void (*)(std::uint32_t ino, std::uint64_t offset,
+                             std::span<std::byte> out);
 
   BlockStore(sim::EventLoop& loop, const sim::CostModel& costs,
              std::string name, std::uint64_t capacity_blocks,
@@ -109,9 +117,18 @@ class BlockStore {
 
   /// Arms a transient read fault: the next `times` reads overlapping
   /// [lbn, lbn+count) fail with `kind`, then the range heals (transient
-  /// latent errors — a reread after remap/retry succeeds).
+  /// latent errors — a reread after remap/retry succeeds). Takes reference
+  /// CRCs of the range's current contents; later writes into it refresh
+  /// them, and every read of it verifies against them from then on.
   void inject_read_fault(std::uint64_t lbn, std::uint32_t count,
                          DiskFaultKind kind, std::uint32_t times = 1);
+
+  /// Registers procedural contents: block lbn+i (i < count) reads as
+  /// fn(ino, offset + i * kBlockSize) unless it has been written (the
+  /// overlay wins, whenever the write happened). Extents must not
+  /// overlap.
+  void map_extent(std::uint64_t lbn, std::uint32_t count, std::uint32_t ino,
+                  std::uint64_t offset, ContentFn fn);
 
   /// Synchronous accessors for test setup / mkfs-style population (no
   /// timing charged).
@@ -139,19 +156,30 @@ class BlockStore {
     std::uint32_t remaining;
   };
 
+  struct Extent {
+    std::uint64_t lbn;
+    std::uint32_t count;
+    std::uint32_t ino;
+    std::uint64_t offset;
+    ContentFn fn;
+  };
+
   void check_range(std::uint64_t lbn, std::uint32_t count) const;
   /// The armed fault (if any) overlapping [lbn, lbn+count) with shots left.
   FaultWindow* find_fault(std::uint64_t lbn, std::uint32_t count);
+  /// Writes block `lbn`'s current contents into `out` (kBlockSize bytes).
+  void read_block(std::uint64_t lbn, std::byte* out) const;
 
   sim::EventLoop& loop_;
   Raid0 raid_;
   std::uint64_t capacity_;
+  /// Overlay: every block written since construction (metadata, writes).
   std::unordered_map<std::uint64_t, std::unique_ptr<std::byte[]>> blocks_;
-  /// Per-block CRC32 maintained on every write; verified on read only once
-  /// fault injection has been armed (fault-free runs skip the scan).
+  std::vector<Extent> extents_;  ///< sorted by lbn, disjoint
+  /// Reference CRC32 of every block an armed fault has covered, kept
+  /// current by writes; fault-free runs hold none and skip the verify.
   std::unordered_map<std::uint64_t, std::uint32_t> crcs_;
   std::vector<FaultWindow> faults_;
-  bool verify_reads_ = false;
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
   std::uint64_t read_errors_ = 0;

@@ -23,6 +23,13 @@ void MetricRegistry::histogram(std::string node, std::string name,
       Metric{std::move(node), std::move(name), MetricKind::Histogram, {}, {}, h});
 }
 
+void MetricRegistry::host_counter(std::string node, std::string name,
+                                  U64Fn fn) {
+  metrics_.push_back(Metric{std::move(node), std::move(name),
+                            MetricKind::Counter, std::move(fn), {}, nullptr,
+                            true});
+}
+
 void MetricRegistry::on_reset(std::function<void()> fn) {
   reset_hooks_.push_back(std::move(fn));
 }
@@ -84,9 +91,10 @@ bool MetricRegistry::has(std::string_view node, std::string_view name) const {
   return find(node, name) != nullptr;
 }
 
-json::Value MetricRegistry::to_json() const {
+json::Value MetricRegistry::to_json(bool host_side) const {
   json::Value root = json::Value::object();
   for (const auto& m : metrics_) {
+    if (m.host != host_side) continue;
     json::Value* group = root.find(m.node);
     if (!group) group = &root.set(m.node, json::Value::object());
     switch (m.kind) {

@@ -11,6 +11,9 @@
 // Metric names are dotted paths; the JSON exporter groups by node and
 // preserves registration order, which — together with the deterministic
 // simulation — makes two same-seed runs dump byte-identical snapshots.
+// Host-side metrics (registered with host_counter: allocator recycling,
+// whose counts depend on which host thread drops a buffer's last
+// reference) are sampled like any other but kept out of that snapshot.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +46,7 @@ class MetricRegistry {
     U64Fn u64;                              ///< Counter / Bytes
     F64Fn f64;                              ///< Gauge
     const LatencyHistogram* hist = nullptr; ///< Histogram
+    bool host = false;  ///< host-side: excluded from to_json()
   };
 
   /// A sampled scalar (histograms flatten into summary scalars on export).
@@ -58,6 +62,8 @@ class MetricRegistry {
   void gauge(std::string node, std::string name, F64Fn fn);
   void bytes(std::string node, std::string name, U64Fn fn);
   void histogram(std::string node, std::string name, const LatencyHistogram* h);
+  /// A counter of host behaviour rather than simulated behaviour.
+  void host_counter(std::string node, std::string name, U64Fn fn);
 
   /// Registers a hook run by reset_all(); subsystems use this to clear
   /// their window counters when a new measurement interval starts.
@@ -66,7 +72,8 @@ class MetricRegistry {
   /// Starts a fresh measurement window across every registered subsystem.
   void reset_all();
 
-  /// Samples every metric now (in registration order).
+  /// Samples every metric now (in registration order), host-side ones
+  /// included.
   std::vector<Sample> sample() const;
 
   // Point lookups for typed views (Testbed::Snapshot) — zero if absent.
@@ -74,10 +81,11 @@ class MetricRegistry {
   double gauge_value(std::string_view node, std::string_view name) const;
   bool has(std::string_view node, std::string_view name) const;
 
-  /// Full snapshot as {"node": {"metric.name": value, ...}, ...} grouped
-  /// by node in first-registration order. Histograms expand to an object
-  /// {count, p50_ns, p99_ns, max_ns}.
-  json::Value to_json() const;
+  /// Snapshot of the simulation metrics as {"node": {"metric.name": value,
+  /// ...}, ...} grouped by node in first-registration order; with
+  /// `host_side`, of the host-side metrics instead. Histograms expand to
+  /// an object {count, p50_ns, p99_ns, max_ns}.
+  json::Value to_json(bool host_side = false) const;
 
   std::size_t size() const noexcept { return metrics_.size(); }
   const std::vector<Metric>& metrics() const noexcept { return metrics_; }

@@ -1,23 +1,81 @@
 #include "fs/image_builder.h"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
 namespace ncache::fs {
 
+namespace {
+
+// Inside one 4 KB block content_byte is (c + 7·offset) mod 256 with c
+// fixed per (inode, block). 7 is invertible mod 256 (7·183 = 5·256 + 1),
+// so that equals 7·(offset + 183·c) mod 256: the single 256-byte period
+// 7·k mod 256 read from a per-block phase. Two periods back to back let
+// a whole period be copied from any phase.
+constexpr std::size_t kPeriod = 256;
+constexpr auto kPattern = [] {
+  std::array<std::byte, 2 * kPeriod> p{};
+  for (std::size_t k = 0; k < p.size(); ++k) p[k] = std::byte((7 * k) & 0xff);
+  return p;
+}();
+
+/// Calls fn(index, n, expected) over [offset, offset + len) of file `ino`
+/// in pieces of at most one period that never cross a block boundary, so
+/// `expected` points at the n pattern bytes the piece must hold. Stops
+/// early, returning the index fn returned, when that is not npos.
+template <typename Fn>
+std::size_t for_each_piece(std::uint32_t ino, std::uint64_t offset,
+                           std::size_t len, Fn&& fn) {
+  std::size_t i = 0;
+  while (i < len) {
+    std::uint64_t at = offset + i;
+    std::uint32_t c = ino * 131u + std::uint32_t(at >> 12) * 13u;
+    const std::byte* expected =
+        kPattern.data() + ((std::uint32_t(at) + 183u * c) & 0xff);
+    std::size_t block_end =
+        i + std::min<std::uint64_t>(kBlockSize - at % kBlockSize, len - i);
+    while (i < block_end) {
+      std::size_t n = std::min(kPeriod, block_end - i);
+      if (std::size_t bad = fn(i, n, expected); bad != std::size_t(-1)) {
+        return bad;
+      }
+      i += n;
+    }
+  }
+  return std::size_t(-1);
+}
+
+void put_pointer(std::span<std::byte> blk, std::size_t slot,
+                 std::uint32_t lbn) {
+  blk[slot * 4] = std::byte(lbn >> 24);
+  blk[slot * 4 + 1] = std::byte(lbn >> 16);
+  blk[slot * 4 + 2] = std::byte(lbn >> 8);
+  blk[slot * 4 + 3] = std::byte(lbn);
+}
+
+}  // namespace
+
 void fill_content(std::uint32_t ino, std::uint64_t offset,
                   std::span<std::byte> out) {
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = content_byte(ino, offset + i);
-  }
+  for_each_piece(ino, offset, out.size(),
+                 [&](std::size_t i, std::size_t n, const std::byte* want) {
+                   std::memcpy(out.data() + i, want, n);
+                   return std::size_t(-1);
+                 });
 }
 
 std::size_t verify_content(std::uint32_t ino, std::uint64_t offset,
                            std::span<const std::byte> data) {
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (data[i] != content_byte(ino, offset + i)) return i;
-  }
-  return std::size_t(-1);
+  return for_each_piece(
+      ino, offset, data.size(),
+      [&](std::size_t i, std::size_t n, const std::byte* want) {
+        if (std::memcmp(data.data() + i, want, n) == 0) return std::size_t(-1);
+        std::size_t k = 0;
+        while (data[i + k] == want[k]) ++k;
+        return i + k;
+      });
 }
 
 FsImageBuilder::FsImageBuilder(blockdev::BlockStore& store,
@@ -37,16 +95,6 @@ FsImageBuilder::FsImageBuilder(blockdev::BlockStore& store,
     bitmap_set(block_bitmap_, b, true);
   }
   next_block_ = sb_.data_start;
-
-  DiskInode root;
-  root.type = InodeType::Directory;
-  root.nlink = 2;
-  PendingInode pi{root};
-  std::vector<std::byte> bytes;
-  ByteWriter w(bytes);
-  pi.inode.serialize(w);
-  std::memcpy(inode_table_.data() + kRootIno * kInodeSize, bytes.data(),
-              kInodeSize);
   dir_entries_[kRootIno] = {};
 }
 
@@ -59,82 +107,70 @@ std::uint32_t FsImageBuilder::alloc_block_seq() {
   return lbn;
 }
 
-std::uint64_t FsImageBuilder::map_file_blocks(DiskInode& inode,
-                                              std::uint64_t count) {
-  std::uint64_t first = next_block_;
-  for (std::uint64_t fb = 0; fb < count; ++fb) {
-    std::uint32_t lbn = alloc_block_seq();
-    if (fb < kDirectBlocks) {
-      inode.direct[fb] = lbn;
-      continue;
+std::vector<FsImageBuilder::DataRun> FsImageBuilder::map_file_blocks(
+    DiskInode& inode, std::uint64_t count) {
+  if (count > kDirectBlocks + kPointersPerBlock +
+                  kPointersPerBlock * kPointersPerBlock) {
+    throw std::runtime_error("FsImageBuilder: file too large");
+  }
+  std::vector<DataRun> runs;
+  std::uint64_t fb = 0;
+  // The next min(left, limit) data blocks, allocated as one run.
+  auto data_run = [&](std::uint64_t limit) {
+    DataRun r{next_block_, fb, std::uint32_t(std::min(count - fb, limit))};
+    for (std::uint32_t i = 0; i < r.count; ++i) alloc_block_seq();
+    fb += r.count;
+    if (r.count > 0) runs.push_back(r);
+    return r;
+  };
+  // Pointer block `table` mapping the run `r`, written once.
+  auto poke_pointers = [&](std::uint32_t table, const DataRun& r) {
+    std::vector<std::byte> blk(kBlockSize);
+    for (std::uint32_t i = 0; i < r.count; ++i) {
+      put_pointer(blk, i, std::uint32_t(r.lbn + i));
     }
-    std::uint64_t ifb = fb - kDirectBlocks;
-    if (ifb < kPointersPerBlock) {
-      if (inode.indirect == kInvalidBlock) {
-        inode.indirect = lbn;  // use this block as the indirect block
-        lbn = alloc_block_seq();
-      }
-      // Patch the pointer directly in the store image.
-      std::vector<std::byte> ptr(4);
-      ptr[0] = std::byte(lbn >> 24);
-      ptr[1] = std::byte(lbn >> 16);
-      ptr[2] = std::byte(lbn >> 8);
-      ptr[3] = std::byte(lbn);
-      auto blk = store_.peek(inode.indirect, 1);
-      std::memcpy(blk.data() + ifb * 4, ptr.data(), 4);
-      store_.poke(inode.indirect, blk);
-      continue;
+    store_.poke(table, blk);
+  };
+
+  DataRun direct = data_run(kDirectBlocks);
+  for (std::uint32_t i = 0; i < direct.count; ++i) {
+    inode.direct[i] = std::uint32_t(direct.lbn + i);
+  }
+  if (fb < count) {
+    inode.indirect = alloc_block_seq();
+    poke_pointers(inode.indirect, data_run(kPointersPerBlock));
+  }
+  if (fb < count) {
+    inode.double_indirect = alloc_block_seq();
+    std::vector<std::byte> di(kBlockSize);  // pointers to the L1 blocks
+    for (std::size_t slot = 0; fb < count; ++slot) {
+      std::uint32_t l1 = alloc_block_seq();
+      put_pointer(di, slot, l1);
+      poke_pointers(l1, data_run(kPointersPerBlock));
     }
-    std::uint64_t dfb = ifb - kPointersPerBlock;
-    if (dfb >= kPointersPerBlock * kPointersPerBlock) {
-      throw std::runtime_error("FsImageBuilder: file too large");
-    }
-    if (inode.double_indirect == kInvalidBlock) {
-      inode.double_indirect = lbn;
-      lbn = alloc_block_seq();
-    }
-    std::size_t l1_slot = dfb / kPointersPerBlock;
-    auto di = store_.peek(inode.double_indirect, 1);
-    ByteReader r({di.data() + l1_slot * 4, 4});
-    std::uint32_t l1 = r.u32();
-    if (l1 == kInvalidBlock) {
-      l1 = lbn;
-      lbn = alloc_block_seq();
-      di[l1_slot * 4] = std::byte(l1 >> 24);
-      di[l1_slot * 4 + 1] = std::byte(l1 >> 16);
-      di[l1_slot * 4 + 2] = std::byte(l1 >> 8);
-      di[l1_slot * 4 + 3] = std::byte(l1);
-      store_.poke(inode.double_indirect, di);
-      // Zero the fresh L1 block.
-      store_.poke(l1, std::vector<std::byte>(kBlockSize));
-    }
-    auto l1blk = store_.peek(l1, 1);
-    std::size_t slot = dfb % kPointersPerBlock;
-    l1blk[slot * 4] = std::byte(lbn >> 24);
-    l1blk[slot * 4 + 1] = std::byte(lbn >> 16);
-    l1blk[slot * 4 + 2] = std::byte(lbn >> 8);
-    l1blk[slot * 4 + 3] = std::byte(lbn);
-    store_.poke(l1, l1blk);
+    store_.poke(inode.double_indirect, di);
   }
   inode.block_count = std::uint32_t(count);
-  return first;
+  return runs;
 }
 
-std::uint32_t FsImageBuilder::lbn_for(const DiskInode& inode,
-                                      std::uint64_t fb) const {
-  if (fb < kDirectBlocks) return inode.direct[fb];
-  std::uint64_t ifb = fb - kDirectBlocks;
-  if (ifb < kPointersPerBlock) {
-    auto blk = store_.peek(inode.indirect, 1);
-    ByteReader r({blk.data() + ifb * 4, 4});
-    return r.u32();
+void FsImageBuilder::poke_runs(const std::vector<DataRun>& runs,
+                               std::span<const std::byte> content) {
+  for (const DataRun& r : runs) {
+    std::vector<std::byte> buf(std::size_t(r.count) * kBlockSize);
+    std::size_t off = std::size_t(r.file_block) * kBlockSize;
+    std::memcpy(buf.data(), content.data() + off,
+                std::min(buf.size(), content.size() - off));
+    store_.poke(r.lbn, buf);
   }
-  std::uint64_t dfb = ifb - kPointersPerBlock;
-  auto di = store_.peek(inode.double_indirect, 1);
-  ByteReader r1({di.data() + (dfb / kPointersPerBlock) * 4, 4});
-  auto l1 = store_.peek(r1.u32(), 1);
-  ByteReader r2({l1.data() + (dfb % kPointersPerBlock) * 4, 4});
-  return r2.u32();
+}
+
+void FsImageBuilder::store_inode(std::uint32_t ino, const DiskInode& inode) {
+  std::vector<std::byte> bytes;
+  ByteWriter w(bytes);
+  inode.serialize(w);
+  std::memcpy(inode_table_.data() + std::size_t(ino) * kInodeSize,
+              bytes.data(), kInodeSize);
 }
 
 std::uint32_t FsImageBuilder::add_common(std::string_view name, InodeType type,
@@ -151,123 +187,67 @@ std::uint32_t FsImageBuilder::add_common(std::string_view name, InodeType type,
   return ino;
 }
 
-std::uint32_t FsImageBuilder::add_file(std::string_view name,
-                                       std::uint64_t size,
-                                       std::uint32_t parent) {
+std::uint32_t FsImageBuilder::add_regular(std::string_view name,
+                                          std::uint64_t size,
+                                          std::uint32_t parent,
+                                          std::vector<DataRun>& runs) {
   std::uint32_t ino = add_common(name, InodeType::File, parent);
   if (ino == 0) return 0;
-
   DiskInode inode;
   inode.type = InodeType::File;
   inode.nlink = 1;
   inode.size = size;
-  std::uint64_t blocks = (size + kBlockSize - 1) / kBlockSize;
-  if (blocks > 0) {
-    map_file_blocks(inode, blocks);
-    // Fill the deterministic pattern, one block at a time (blocks are
-    // contiguous by construction, with indirect blocks interleaved; use
-    // the mapping we just wrote).
-    std::vector<std::byte> buf(kBlockSize);
-    for (std::uint64_t fb = 0; fb < blocks; ++fb) {
-      fill_content(ino, fb * kBlockSize, buf);
-      store_.poke(lbn_for(inode, fb), buf);
-    }
+  runs = map_file_blocks(inode, (size + kBlockSize - 1) / kBlockSize);
+  store_inode(ino, inode);
+  return ino;
+}
+
+std::uint32_t FsImageBuilder::add_file(std::string_view name,
+                                       std::uint64_t size,
+                                       std::uint32_t parent) {
+  std::vector<DataRun> runs;
+  std::uint32_t ino = add_regular(name, size, parent, runs);
+  for (const DataRun& r : runs) {
+    store_.map_extent(r.lbn, r.count, ino, r.file_block * kBlockSize,
+                      &fill_content);
   }
-  std::vector<std::byte> bytes;
-  ByteWriter w(bytes);
-  inode.serialize(w);
-  std::memcpy(inode_table_.data() + std::size_t(ino) * kInodeSize,
-              bytes.data(), kInodeSize);
   return ino;
 }
 
 std::uint32_t FsImageBuilder::add_file_with_content(
     std::string_view name, std::span<const std::byte> content,
     std::uint32_t parent) {
-  std::uint32_t ino = add_common(name, InodeType::File, parent);
-  if (ino == 0) return 0;
-
-  DiskInode inode;
-  inode.type = InodeType::File;
-  inode.nlink = 1;
-  inode.size = content.size();
-  std::uint64_t blocks = (content.size() + kBlockSize - 1) / kBlockSize;
-  if (blocks > 0) {
-    map_file_blocks(inode, blocks);
-    std::vector<std::byte> buf(kBlockSize);
-    for (std::uint64_t fb = 0; fb < blocks; ++fb) {
-      std::fill(buf.begin(), buf.end(), std::byte{0});
-      std::size_t off = fb * kBlockSize;
-      std::size_t take = std::min<std::size_t>(kBlockSize, content.size() - off);
-      std::memcpy(buf.data(), content.data() + off, take);
-      store_.poke(lbn_for(inode, fb), buf);
-    }
-  }
-  std::vector<std::byte> bytes;
-  ByteWriter w(bytes);
-  inode.serialize(w);
-  std::memcpy(inode_table_.data() + std::size_t(ino) * kInodeSize,
-              bytes.data(), kInodeSize);
+  std::vector<DataRun> runs;
+  std::uint32_t ino = add_regular(name, content.size(), parent, runs);
+  poke_runs(runs, content);
   return ino;
 }
 
 std::uint32_t FsImageBuilder::add_dir(std::string_view name,
                                       std::uint32_t parent) {
-  std::uint32_t ino = add_common(name, InodeType::Directory, parent);
-  if (ino == 0) return 0;
-  DiskInode inode;
-  inode.type = InodeType::Directory;
-  inode.nlink = 2;
-  std::vector<std::byte> bytes;
-  ByteWriter w(bytes);
-  inode.serialize(w);
-  std::memcpy(inode_table_.data() + std::size_t(ino) * kInodeSize,
-              bytes.data(), kInodeSize);
-  return ino;
+  return add_common(name, InodeType::Directory, parent);
 }
 
 void FsImageBuilder::finish() {
   if (finished_) throw std::logic_error("FsImageBuilder: already finished");
 
-  // Materialize directory blocks.
   for (auto& [dir_ino, entries] : dir_entries_) {
-    std::uint64_t blocks =
-        (entries.size() + kDirentsPerBlock - 1) / kDirentsPerBlock;
-    std::vector<std::byte> inode_bytes(
-        inode_table_.begin() + std::size_t(dir_ino) * kInodeSize,
-        inode_table_.begin() + std::size_t(dir_ino + 1) * kInodeSize);
-    ByteReader r(inode_bytes);
-    DiskInode dir = DiskInode::parse(r);
-    if (blocks > 0) {
-      map_file_blocks(dir, blocks);
-      std::vector<std::byte> buf(kBlockSize);
-      for (std::uint64_t fb = 0; fb < blocks; ++fb) {
-        std::fill(buf.begin(), buf.end(), std::byte{0});
-        std::vector<std::byte> tmp;
-        ByteWriter w(tmp);
-        for (std::size_t i = fb * kDirentsPerBlock;
-             i < std::min(entries.size(), (fb + 1) * kDirentsPerBlock); ++i) {
-          entries[i].serialize(w);
-        }
-        std::memcpy(buf.data(), tmp.data(), tmp.size());
-        store_.poke(lbn_for(dir, fb), buf);
-      }
-    }
+    std::vector<std::byte> bytes;
+    ByteWriter w(bytes);
+    for (const Dirent& d : entries) d.serialize(w);
+    DiskInode dir;
+    dir.type = InodeType::Directory;
+    dir.nlink = 2;
+    std::uint64_t blocks = (bytes.size() + kBlockSize - 1) / kBlockSize;
+    poke_runs(map_file_blocks(dir, blocks), bytes);
     dir.size = blocks * kBlockSize;
-    std::vector<std::byte> out;
-    ByteWriter w(out);
-    dir.serialize(w);
-    std::memcpy(inode_table_.data() + std::size_t(dir_ino) * kInodeSize,
-                out.data(), kInodeSize);
+    store_inode(dir_ino, dir);
   }
 
-  auto sb_bytes = std::vector<std::byte>(kBlockSize);
-  {
-    std::vector<std::byte> tmp;
-    ByteWriter w(tmp);
-    sb_.serialize(w);
-    std::memcpy(sb_bytes.data(), tmp.data(), tmp.size());
-  }
+  std::vector<std::byte> sb_bytes;
+  ByteWriter w(sb_bytes);
+  sb_.serialize(w);
+  sb_bytes.resize(kBlockSize);
   store_.poke(0, sb_bytes);
   store_.poke(sb_.inode_bitmap_start, inode_bitmap_);
   store_.poke(sb_.block_bitmap_start, block_bitmap_);

@@ -9,7 +9,11 @@
 //
 // File contents come from a deterministic per-(inode, offset) pattern so
 // clients can verify every byte they receive without anybody storing a
-// golden copy.
+// golden copy. The builder writes only metadata (superblock, bitmaps,
+// inode table, directory and indirect blocks); each contiguous run of a
+// patterned file's data blocks is registered with the BlockStore as an
+// extent whose bytes are synthesized by fill_content when read, so image
+// size costs no memory and no build time.
 #pragma once
 
 #include <string>
@@ -32,7 +36,8 @@ inline std::byte content_byte(std::uint32_t ino, std::uint64_t offset) {
                    0xff);
 }
 
-/// Fills `out` with the deterministic content of file `ino` at `offset`.
+/// Fills `out` with the deterministic content of file `ino` at `offset`
+/// (content_byte for every byte, copied from one precomputed period).
 void fill_content(std::uint32_t ino, std::uint64_t offset,
                   std::span<std::byte> out);
 
@@ -47,7 +52,8 @@ class FsImageBuilder {
                  std::uint32_t inode_count);
 
   /// Adds a regular file under the given directory (default: root) filled
-  /// with the deterministic pattern. Returns its inode, 0 on failure.
+  /// with the deterministic pattern (mapped as extents, never written).
+  /// Returns its inode, 0 on failure.
   std::uint32_t add_file(std::string_view name, std::uint64_t size,
                          std::uint32_t parent = kRootIno);
 
@@ -60,8 +66,9 @@ class FsImageBuilder {
   std::uint32_t add_dir(std::string_view name,
                         std::uint32_t parent = kRootIno);
 
-  /// Writes all metadata into the store. Must be called exactly once; no
-  /// further add_* calls are allowed afterwards.
+  /// Writes the directories, bitmaps, inode table and superblock into the
+  /// store. Must be called exactly once; no further add_* calls are
+  /// allowed afterwards.
   void finish();
   bool finished() const noexcept { return finished_; }
 
@@ -69,17 +76,30 @@ class FsImageBuilder {
   std::uint64_t blocks_used() const noexcept { return next_block_; }
 
  private:
-  struct PendingInode {
-    DiskInode inode;
+  /// A contiguous run of data blocks: file blocks [file_block,
+  /// file_block + count) live at [lbn, lbn + count).
+  struct DataRun {
+    std::uint64_t lbn;
+    std::uint64_t file_block;
+    std::uint32_t count;
   };
 
   std::uint32_t add_common(std::string_view name, InodeType type,
                            std::uint32_t parent);
-  std::uint32_t lbn_for(const DiskInode& inode, std::uint64_t fb) const;
+  /// add_common + a mapped inode of `size` bytes; `runs` receives its data
+  /// blocks. Returns the inode, 0 on failure.
+  std::uint32_t add_regular(std::string_view name, std::uint64_t size,
+                            std::uint32_t parent, std::vector<DataRun>& runs);
   std::uint32_t alloc_block_seq();
-  /// Assigns `count` data blocks to `inode` starting at file block 0..;
-  /// returns the first LBN (blocks are contiguous).
-  std::uint64_t map_file_blocks(DiskInode& inode, std::uint64_t count);
+  /// Allocates `count` data blocks for file blocks 0.. of `inode`
+  /// sequentially, with its indirect, double-indirect and L1 blocks
+  /// interleaved where first needed; writes each of those pointer blocks
+  /// once and returns the data runs between them.
+  std::vector<DataRun> map_file_blocks(DiskInode& inode, std::uint64_t count);
+  /// Writes `content` (zero-padded to whole blocks) over `runs`.
+  void poke_runs(const std::vector<DataRun>& runs,
+                 std::span<const std::byte> content);
+  void store_inode(std::uint32_t ino, const DiskInode& inode);
 
   blockdev::BlockStore& store_;
   SuperBlock sb_;

@@ -124,9 +124,10 @@ void BufferPool::register_metrics(MetricRegistry& registry,
   registry.counter(node, prefix + ".allocations",
                    [this] { return allocations_; });
   registry.counter(node, prefix + ".failures", [this] { return failures_; });
-  registry.counter(node, prefix + ".recycled", [this] { return recycled_; });
-  registry.counter(node, prefix + ".slab_misses",
-                   [this] { return slab_misses_; });
+  registry.host_counter(node, prefix + ".recycled",
+                        [this] { return recycled_; });
+  registry.host_counter(node, prefix + ".slab_misses",
+                        [this] { return slab_misses_; });
 }
 
 }  // namespace ncache::netbuf

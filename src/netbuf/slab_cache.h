@@ -23,9 +23,11 @@
 // SlabCache and binds it to the executing worker thread for the duration
 // of a window (see bind()/current()), so every slab is only ever touched
 // by one thread at a time. Storage allocated in one domain and released
-// in another (a frame crossing a trunk) simply migrates between slabs;
-// which slab receives it depends only on simulated causality, never on
-// the worker-thread count, so hit/miss counters stay deterministic.
+// in another (a frame crossing a trunk) simply migrates between slabs.
+// When two domains drop references in the same window, which one drops
+// the last — and so receives the storage — is decided by host thread
+// timing once more than one worker runs, so hit/miss counters are
+// host-side telemetry, not simulation output (MetricRegistry::host_counter).
 #pragma once
 
 #include <cstddef>

@@ -475,15 +475,19 @@ void World::register_all_metrics() {
     for (auto& l : domain_loops_) total += l->clamped_events();
     return total;
   });
-  // Partitioned worlds recycle through per-domain slabs; the sums are
-  // deterministic (domain execution does not depend on the worker count).
-  metrics_.counter("sim", "netbuf.slab_hits", [this] {
+  // Partitioned worlds recycle through per-domain slabs. These are
+  // host-side counters: a buffer referenced from two domains returns to
+  // the slab of whichever domain drops its last reference, and with more
+  // than one worker thread that order is a host race, so the sums vary
+  // between runs. (The process slab is also warm from earlier worlds in
+  // the same process.)
+  metrics_.host_counter("sim", "netbuf.slab_hits", [this] {
     if (!engine_) return netbuf::SlabCache::process().hits();
     std::uint64_t total = 0;
     for (auto& s : domain_slabs_) total += s->hits();
     return total;
   });
-  metrics_.counter("sim", "netbuf.slab_misses", [this] {
+  metrics_.host_counter("sim", "netbuf.slab_misses", [this] {
     if (!engine_) return netbuf::SlabCache::process().misses();
     std::uint64_t total = 0;
     for (auto& s : domain_slabs_) total += s->misses();

@@ -2,6 +2,9 @@
 // parallelism, and the sparse block store contents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "blockdev/block_store.h"
 
 namespace ncache::blockdev {
@@ -131,6 +134,119 @@ TEST(BlockStore, RangeChecks) {
   EXPECT_THROW(store.peek(7, 2), std::out_of_range);
   EXPECT_THROW(store.poke(0, std::vector<std::byte>(100)),
                std::invalid_argument);
+}
+
+/// Procedural content for extent tests: distinct per (ino, byte offset).
+void test_content(std::uint32_t ino, std::uint64_t offset,
+                  std::span<std::byte> out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = std::byte(((offset + i) * 7 + ino * 29 + (offset + i) / 4096) &
+                       0xff);
+  }
+}
+
+std::vector<std::byte> test_block(std::uint32_t ino, std::uint64_t offset) {
+  std::vector<std::byte> v(kBlockSize);
+  test_content(ino, offset, v);
+  return v;
+}
+
+TEST(BlockStore, ExtentsSynthesizeUntilWritten) {
+  sim::EventLoop loop;
+  sim::CostModel costs;
+  BlockStore store(loop, costs, "st", 64);
+  store.map_extent(10, 4, 3, 8192, &test_content);
+  store.map_extent(20, 2, 5, 0, &test_content);
+  EXPECT_THROW(store.map_extent(13, 2, 9, 0, &test_content),
+               std::invalid_argument);
+  EXPECT_THROW(store.map_extent(8, 3, 9, 0, &test_content),
+               std::invalid_argument);
+
+  auto run = store.peek(9, 6);  // zeros, the extent, zeros
+  std::vector<std::byte> zero(kBlockSize);
+  EXPECT_TRUE(std::equal(zero.begin(), zero.end(), run.begin()));
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    auto want = test_block(3, 8192 + i * kBlockSize);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                           run.begin() + (1 + i) * kBlockSize))
+        << "block " << 10 + i;
+  }
+  EXPECT_TRUE(std::equal(zero.begin(), zero.end(), run.begin() + 5 * kBlockSize));
+  EXPECT_EQ(store.peek(21, 1), test_block(5, kBlockSize));
+
+  auto data = block_pattern(1, 3);
+  store.poke(11, data);
+  auto task_fn = [&]() -> Task<void> {
+    co_await store.write(12, block_pattern(1, 4));
+    auto got = co_await store.read(10, 4);
+    EXPECT_TRUE(got.ok);
+    std::vector<std::byte> want = test_block(3, 8192);
+    want.insert(want.end(), data.begin(), data.end());
+    auto written = block_pattern(1, 4);
+    want.insert(want.end(), written.begin(), written.end());
+    auto last = test_block(3, 8192 + 3 * kBlockSize);
+    want.insert(want.end(), last.begin(), last.end());
+    EXPECT_EQ(got.data, want);
+  };
+  sim::sync_wait(loop, task_fn());
+}
+
+TEST(BlockStore, ChecksumFaultCaughtOnEveryKindOfBlock) {
+  sim::EventLoop loop;
+  sim::CostModel costs;
+  BlockStore store(loop, costs, "st", 64);
+  store.map_extent(10, 4, 3, 0, &test_content);
+  store.poke(20, block_pattern(1, 6));
+  const std::vector<std::byte> want[] = {test_block(3, kBlockSize),
+                                         block_pattern(1, 6),
+                                         std::vector<std::byte>(kBlockSize)};
+  const std::uint64_t lbns[] = {11, 20, 30};  // synthesized, poked, unwritten
+  for (int k = 0; k < 3; ++k) {
+    store.inject_read_fault(lbns[k], 1, DiskFaultKind::ChecksumMismatch);
+    std::uint64_t mismatches = store.checksum_mismatches();
+    std::uint64_t errors = store.read_errors();
+    auto task_fn = [&]() -> Task<void> {
+      auto bad = co_await store.read(lbns[k], 1);
+      EXPECT_FALSE(bad.ok) << "lbn " << lbns[k];
+      EXPECT_EQ(store.checksum_mismatches(), mismatches + 1);
+      EXPECT_EQ(store.read_errors(), errors + 1);
+      auto healed = co_await store.read(lbns[k], 1);
+      EXPECT_TRUE(healed.ok) << "lbn " << lbns[k];
+      EXPECT_EQ(healed.data, want[k]);
+      // The healed range stays verified and clean alongside its neighbours.
+      auto wide = co_await store.read(lbns[k] - 1, 3);
+      EXPECT_TRUE(wide.ok);
+    };
+    sim::sync_wait(loop, task_fn());
+    EXPECT_EQ(store.checksum_mismatches(), mismatches + 1);
+  }
+}
+
+TEST(BlockStore, WritesRefreshArmedChecksums) {
+  sim::EventLoop loop;
+  sim::CostModel costs;
+  BlockStore store(loop, costs, "st", 64);
+  store.map_extent(0, 16, 1, 0, &test_content);
+  store.inject_read_fault(4, 4, DiskFaultKind::ChecksumMismatch);
+  auto task_fn = [&]() -> Task<void> {
+    // Asynchronous and synchronous writes over synthesized blocks of the
+    // armed range, then the fault's one real shot, then clean reads.
+    co_await store.write(4, block_pattern(2, 8));
+    store.poke(7, block_pattern(1, 9));
+    auto failed = co_await store.read(4, 4);
+    EXPECT_FALSE(failed.ok);
+    EXPECT_EQ(store.checksum_mismatches(), 1u);
+    auto got = co_await store.read(3, 6);
+    EXPECT_TRUE(got.ok);
+    auto written = block_pattern(2, 8);
+    EXPECT_TRUE(std::equal(written.begin(), written.end(),
+                           got.data.begin() + kBlockSize));
+    co_await store.write(5, block_pattern(1, 10));
+    EXPECT_TRUE((co_await store.read(4, 4)).ok);
+  };
+  sim::sync_wait(loop, task_fn());
+  EXPECT_EQ(store.read_errors(), 1u);
+  EXPECT_EQ(store.checksum_mismatches(), 1u);
 }
 
 TEST(BlockStore, ReadTimingScalesWithSize) {

@@ -228,22 +228,6 @@ ClusterRun run_zipf_cluster(std::uint64_t seed) {
 
   for (std::uint64_t o : ops) run.total_ops += o;
   run.metrics_json = tb.metrics().to_json().dump();
-
-  // The slab recycler is process-global, so its hit counter is warm on the
-  // second run in the same process; every per-node counter must match.
-  std::string scrubbed;
-  std::size_t pos = 0;
-  while (pos < run.metrics_json.size()) {
-    std::size_t eol = run.metrics_json.find('\n', pos);
-    if (eol == std::string::npos) eol = run.metrics_json.size();
-    std::string_view line(run.metrics_json.data() + pos, eol - pos);
-    if (line.find("netbuf.slab") == std::string_view::npos) {
-      scrubbed.append(line);
-      scrubbed.push_back('\n');
-    }
-    pos = eol + 1;
-  }
-  run.metrics_json = std::move(scrubbed);
   return run;
 }
 

@@ -4,7 +4,9 @@
 // (indirect/double-indirect) mapping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "fs/buffer_cache.h"
 #include "fs/image_builder.h"
@@ -125,6 +127,45 @@ TEST(Content, DeterministicAndVerifiable) {
   std::vector<std::byte> other(1000);
   fill_content(8, 123, other);
   EXPECT_NE(buf, other);
+}
+
+TEST(Content, KernelMatchesReferenceByte) {
+  // Offsets straddle 256-byte periods and 4 KB blocks, and reach past the
+  // 32-bit truncation content_byte applies to the offset.
+  const std::uint32_t inos[] = {0, 1, 7, 65537, 0x9e3779b9u, 0xffffffffu};
+  const std::uint64_t offsets[] = {0,    1,    200,  255,   256,
+                                   3000, 4000, 4095, 12290, (1ull << 32) + 4000,
+                                   (1ull << 44) + 12345};
+  const std::size_t lengths[] = {0, 1, 255, 257, 4095, 4097, 9000};
+  for (std::uint32_t ino : inos) {
+    for (std::uint64_t off : offsets) {
+      for (std::size_t len : lengths) {
+        std::vector<std::byte> buf(len);
+        fill_content(ino, off, buf);
+        for (std::size_t i = 0; i < len; ++i) {
+          ASSERT_EQ(buf[i], content_byte(ino, off + i))
+              << "ino " << ino << " offset " << off << " + " << i;
+        }
+        ASSERT_EQ(verify_content(ino, off, buf), std::size_t(-1))
+            << "ino " << ino << " offset " << off << " length " << len;
+      }
+    }
+  }
+}
+
+TEST(Content, VerifyReportsExactlyTheFlippedByte) {
+  const std::uint32_t ino = 4000000007u;
+  const std::uint64_t off = 3796;  // 44 bytes before a period boundary,
+                                   // 300 before a block boundary
+  std::vector<std::byte> ref(9000);
+  fill_content(ino, off, ref);
+  for (std::size_t at : {std::size_t(0), std::size_t(1234), std::size_t(44),
+                         std::size_t(299), std::size_t(300),
+                         std::size_t(8999)}) {
+    std::vector<std::byte> bad = ref;
+    bad[at] ^= std::byte{0x10};
+    EXPECT_EQ(verify_content(ino, off, bad), at);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -384,6 +425,74 @@ TEST_F(FsTest, ImageBuilderMountsAndVerifies) {
     EXPECT_TRUE(i3);
     if (!i3) co_return;
     EXPECT_EQ(*i3, f3);
+  });
+}
+
+std::uint64_t fnv1a(std::span<const std::byte> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::byte b : bytes) h = (h ^ std::uint64_t(b)) * 0x100000001b3ull;
+  return h;
+}
+
+// Hash of every block of a fixed image as read back, pinned across
+// commits. It was recorded from a builder that wrote every data byte, so
+// extents synthesized on read plus the poked metadata must reproduce that
+// image byte for byte.
+constexpr std::uint64_t kGoldenImageHash = 7189959404795162962ull;
+
+TEST_F(FsTest, ImageBuilderBytesArePinned) {
+  FsImageBuilder builder(store_, 16384, 1024);
+  // 2100 full blocks + a tail: direct -> single-indirect -> two
+  // double-indirect L1 blocks (the second L1 starts at file block 2060).
+  const std::uint64_t big_size = 2100ull * kBlockSize + 1234;
+  std::uint32_t big = builder.add_file("big.bin", big_size);
+  ASSERT_NE(big, 0u);
+  // 70 more root entries: the root directory spans two blocks.
+  for (int i = 0; i < 70; ++i) {
+    ASSERT_NE(builder.add_file("f" + std::to_string(i), std::uint64_t(i) * 300),
+              0u);
+  }
+  std::uint32_t sub = builder.add_dir("sub");
+  ASSERT_NE(sub, 0u);
+  ASSERT_NE(builder.add_file("nested.bin", 3 * kBlockSize, sub), 0u);
+  std::vector<std::byte> explicit_bytes(5000);
+  for (std::size_t i = 0; i < explicit_bytes.size(); ++i) {
+    explicit_bytes[i] = std::byte((i * 31 + 5) & 0xff);
+  }
+  ASSERT_NE(builder.add_file_with_content("explicit.bin", explicit_bytes, sub),
+            0u);
+  builder.finish();
+
+  const std::uint64_t used = builder.blocks_used();
+  auto image = store_.peek(0, std::uint32_t(used));
+  EXPECT_EQ(fnv1a(image), kGoldenImageHash) << "image of " << used << " blocks";
+
+  // The first file's data starts at data_start: its direct blocks are the
+  // first twelve blocks of the data area.
+  const std::uint64_t data_lbn = builder.superblock().data_start;
+  std::vector<std::byte> poked(kBlockSize, std::byte{0xA5});
+  store_.poke(data_lbn + 3, poked);
+  EXPECT_EQ(store_.peek(data_lbn + 3, 1), poked);
+  std::vector<std::byte> written(kBlockSize, std::byte{0x5A});
+  run([&]() -> Task<void> {
+    co_await store_.write(data_lbn + 5, written);
+    auto got = co_await store_.read(data_lbn + 3, 4);
+    EXPECT_TRUE(got.ok);
+    std::span<const std::byte> all(got.data);
+    EXPECT_TRUE(std::equal(poked.begin(), poked.end(), all.begin()));
+    EXPECT_EQ(verify_content(big, 4 * kBlockSize, all.subspan(kBlockSize,
+                                                              kBlockSize)),
+              std::size_t(-1));
+    EXPECT_TRUE(std::equal(written.begin(), written.end(),
+                           all.begin() + 2 * kBlockSize));
+    EXPECT_EQ(verify_content(big, 6 * kBlockSize, all.subspan(3 * kBlockSize)),
+              std::size_t(-1));
+
+    // Past the image: never mapped, never written.
+    auto beyond = co_await store_.read(used, 2);
+    EXPECT_TRUE(beyond.ok);
+    EXPECT_TRUE(std::all_of(beyond.data.begin(), beyond.data.end(),
+                            [](std::byte b) { return b == std::byte{0}; }));
   });
 }
 

@@ -71,24 +71,6 @@ void run_on(sim::EventLoop& loop, F&& body) {
   sim::sync_wait(loop, t_fn());
 }
 
-/// Strips the process-global slab-recycler lines from a metrics dump so
-/// back-to-back runs in one process compare equal (see cluster_test).
-std::string scrub_slab(const std::string& json) {
-  std::string out;
-  std::size_t pos = 0;
-  while (pos < json.size()) {
-    std::size_t eol = json.find('\n', pos);
-    if (eol == std::string::npos) eol = json.size();
-    std::string_view line(json.data() + pos, eol - pos);
-    if (line.find("netbuf.slab") == std::string_view::npos) {
-      out.append(line);
-      out.push_back('\n');
-    }
-    pos = eol + 1;
-  }
-  return out;
-}
-
 MsgBuffer chain_of(std::size_t bytes, int seed) {
   MsgBuffer m;
   std::size_t left = bytes;
@@ -661,7 +643,7 @@ PlainRun run_plain(const TestbedConfig& cfg) {
     auto attr = co_await client.getattr(f1);
     EXPECT_TRUE(attr.has_value());
   });
-  out.metrics_json = scrub_slab(tb.metrics().to_json().dump());
+  out.metrics_json = tb.metrics().to_json().dump();
   out.end_time = tb.loop().now();
   return out;
 }
@@ -752,7 +734,7 @@ OverloadRacksRun run_racks_overload(unsigned threads) {
   }
   run.end_time = world.engine().now();
   run.rounds = world.engine().rounds();
-  run.metrics_json = scrub_slab(world.metrics().to_json().dump());
+  run.metrics_json = world.metrics().to_json().dump();
   return run;
 }
 

@@ -352,19 +352,22 @@ TEST(PartitionedWorld, ServesCorrectBytesAcrossRacks) {
   EXPECT_THROW(world.loop(), std::logic_error);
 
   // One reader per rack; every block content-verified against the image.
+  // Captureless, so the coroutine frame owns copies of its arguments (a
+  // capturing lambda's captures die with the lambda, before the frame).
   std::atomic<int> done{0};
+  auto reader = [](topo::World& world, std::atomic<int>& done,
+                   std::uint32_t ino, int c) -> Task<void> {
+    for (std::uint64_t off = 0; off < kSize; off += 32768) {
+      auto r = co_await world.nfs_client(c).read(ino, off, 32768);
+      EXPECT_EQ(r.status, Status::Ok) << "client " << c << " off " << off;
+      auto bytes = r.data.to_bytes();
+      EXPECT_EQ(fs::verify_content(ino, off, bytes), std::size_t(-1));
+    }
+    ++done;
+  };
   for (int c = 0; c < world.client_count(); ++c) {
-    auto reader = [&world, &done, ino, c]() -> Task<void> {
-      for (std::uint64_t off = 0; off < kSize; off += 32768) {
-        auto r = co_await world.nfs_client(c).read(ino, off, 32768);
-        EXPECT_EQ(r.status, Status::Ok) << "client " << c << " off " << off;
-        auto bytes = r.data.to_bytes();
-        EXPECT_EQ(fs::verify_content(ino, off, bytes), std::size_t(-1));
-      }
-      ++done;
-    };
     unsigned d = world.domain_of("client" + std::to_string(c));
-    reader().detach(world.engine().domain_loop(d).reaper());
+    reader(world, done, ino, c).detach(world.engine().domain_loop(d).reaper());
   }
   world.engine().run([&] { return done.load() == world.client_count(); });
   EXPECT_EQ(done.load(), world.client_count());

@@ -55,24 +55,6 @@ void run_on(sim::EventLoop& loop, F&& body) {
   sim::sync_wait(loop, t_fn());
 }
 
-/// Strips the process-global slab-recycler lines from a metrics dump so
-/// back-to-back runs in one process compare equal (see cluster_test).
-std::string scrub_slab(const std::string& json) {
-  std::string out;
-  std::size_t pos = 0;
-  while (pos < json.size()) {
-    std::size_t eol = json.find('\n', pos);
-    if (eol == std::string::npos) eol = json.size();
-    std::string_view line(json.data() + pos, eol - pos);
-    if (line.find("netbuf.slab") == std::string_view::npos) {
-      out.append(line);
-      out.push_back('\n');
-    }
-    pos = eol + 1;
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // RFC 1982 serial epochs
 // ---------------------------------------------------------------------------
@@ -410,7 +392,7 @@ struct DiffRun {
   std::uint64_t stale = 0;        ///< bytes that matched neither image nor write
   bool converged = false;
   sim::Time converged_at = 0;
-  std::string metrics_json;  ///< slab-scrubbed full dump
+  std::string metrics_json;  ///< full dump
   std::uint64_t retransmits = 0;
   std::uint64_t repair_rounds = 0;
   std::uint64_t rebalances = 0;
@@ -523,7 +505,7 @@ DiffRun run_diff(const DiffOptions& opt) {
     }
   });
 
-  run.metrics_json = scrub_slab(world.metrics().to_json().dump());
+  run.metrics_json = world.metrics().to_json().dump();
   for (int s = 0; s < world.server_count(); ++s) {
     run.retransmits += world.server(s).peers->stats().retransmits;
     run.repair_rounds += world.server(s).peers->stats().repair_rounds;
@@ -664,7 +646,7 @@ PartitionRacksRun run_racks_partition(unsigned threads) {
   workload::run_measurement(world.engine(), stop, 120 * kMillisecond);
   for (std::uint64_t o : ops) run.total_ops += o;
   run.end_time = world.engine().now();
-  run.metrics_json = scrub_slab(world.metrics().to_json().dump());
+  run.metrics_json = world.metrics().to_json().dump();
   run.rounds = world.engine().rounds();
   return run;
 }

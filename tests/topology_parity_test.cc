@@ -9,8 +9,8 @@
 //    per-client stream hashes, ops, target reads, peer traffic, and
 //    final sim time.
 //  * A world built from Topology::parse(describe(preset)) behaves
-//    bit-identically to one built from the preset object (metrics dump
-//    compared after scrubbing the process-global slab counters).
+//    bit-identically to one built from the preset object (full metrics
+//    dump compared).
 //  * The two-rack WAN shape — inexpressible before the topology API —
 //    works end to end: correct bytes through the trunk, trunk actually
 //    carries the traffic, and lossy same-seed runs replay bit-for-bit.
@@ -50,24 +50,6 @@ Task<void> read_all(nfs::NfsClient& client, std::uint32_t ino,
         << "offset " << off;
     if (out) out->insert(out->end(), bytes.begin(), bytes.end());
   }
-}
-
-/// Scrubs the process-global slab-recycler counters (warm on the second
-/// run in one process) so same-seed dumps compare byte-for-byte.
-std::string scrub_slab(const std::string& json) {
-  std::string scrubbed;
-  std::size_t pos = 0;
-  while (pos < json.size()) {
-    std::size_t eol = json.find('\n', pos);
-    if (eol == std::string::npos) eol = json.size();
-    std::string_view line(json.data() + pos, eol - pos);
-    if (line.find("netbuf.slab") == std::string_view::npos) {
-      scrubbed.append(line);
-      scrubbed.push_back('\n');
-    }
-    pos = eol + 1;
-  }
-  return scrubbed;
 }
 
 // ---------------------------------------------------------------------------
@@ -476,7 +458,7 @@ std::string run_world_metrics(const topo::Topology& shape) {
       co_await read_all(world.nfs_client(c), ino, 128 * 1024, nullptr);
     }
   });
-  return scrub_slab(world.metrics().to_json().dump());
+  return world.metrics().to_json().dump();
 }
 
 TEST(TopologyWorld, ParsedTextMatchesBuilderBitForBit) {
@@ -539,7 +521,7 @@ LossyRun run_lossy_wan(std::uint64_t seed) {
   });
   sim::DuplexLink& trunk = world.trunk("rack_a", "rack_b");
   LossyRun run;
-  run.metrics_json = scrub_slab(world.metrics().to_json().dump());
+  run.metrics_json = world.metrics().to_json().dump();
   run.end_time = world.loop().now();
   run.trunk_drops =
       trunk.a_to_b.dropped_faults() + trunk.b_to_a.dropped_faults();
