@@ -8,12 +8,14 @@
 // busy grinding through duplicate work while fresh arrivals queue behind
 // it — goodput stays collapsed long after the trigger is gone (Bronson et
 // al.'s metastable-failure shape). The shedding spine breaks the feedback
-// loop at three points: CoDel drops the standing queue at the server,
-// brownout sheds bulk data at the door, and the client retry budget caps
-// the duplicate storm at ~10% of goodput.
+// loop: CoDel and the 128-entry bound drop the standing queue at the
+// server, and the client retry budget caps the duplicate storm at ~10% of
+// goodput. The brownout ladder is on too, but the run raises no pressure
+// event (no pool insert failure, no substitution miss), so it stays at
+// Normal and brownout_shed stays 0.
 //
 // Two rows, same seed, same curve:
-//   * shedding_on  — bounded queue (128) + CoDel + brownout + retry
+//   * shedding_on  — bounded queue (128) + CoDel + brownout ladder + retry
 //     budgets; goodput must recover to >= 90% of the pre-spike baseline
 //     in the post window.
 //   * shedding_off — every gate off (the always-on 8192 hard bound only);
@@ -87,7 +89,7 @@ json::Value run_scenario(bool shedding, double* ratio_out) {
   if (shedding) {
     cfg.overload.server_queue = true;
     cfg.overload.retry_budget = true;
-    cfg.overload.brownout = true;
+    cfg.overload.ncache_ladder = core::kBrownoutLadder;
     cfg.overload.nfs_queue_limit = 128;
     // Target well above baseline sojourn excursions (service time is
     // ~6.4 ms at 65% utilization) yet a quarter of the client RTO, so

@@ -245,8 +245,8 @@ json::Value run_ncache_degrade(const BenchOptions& opts) {
   Testbed tb(cfg);
   std::uint32_t ino = tb.image().add_file("chaos.bin", file_bytes);
   tb.start_nfs();
-  auto& dc = tb.ncache()->degrade_config();
-  dc.pressure_threshold = 4;
+  auto& dc = tb.ncache()->ladder_config();
+  dc.physical_copy_at = 4;
 
   Trace t;
   sim::Time tripped_at = 0;

@@ -37,20 +37,16 @@ void NCacheModule::attach_initiator(iscsi::IscsiInitiator& initiator) {
       });
   initiator.set_lbn_probe([this, target](std::uint64_t lbn) {
     maybe_recover();
-    if (brownout_.enabled) {
-      if (tier_ >= BrownoutTier::PhysicalCopy) return false;
-      if (tier_ == BrownoutTier::ServeStale) {
-        // Ingestion is bypassed in this tier, so cached chunks only age;
-        // answer from cache while they are younger than the TTL.
-        auto at = cache_.lbn_inserted_at(lbn, target);
-        if (!at) return false;
-        if (stack_.loop().now() - *at > brownout_.stale_ttl) return false;
-        ++stats_.second_level_hits;
-        ++stats_.brownout_stale_hits;
-        return true;
-      }
-    } else if (degraded_) {
-      return false;  // fall through to the physical chain
+    if (degraded()) return false;  // fall through to the physical chain
+    if (tier_ == BrownoutTier::ServeStale) {
+      // Ingestion is bypassed in this tier, so cached chunks only age;
+      // answer from cache while they are younger than the TTL.
+      auto at = cache_.lbn_inserted_at(lbn, target);
+      if (!at) return false;
+      if (stack_.loop().now() - *at > ladder_.stale_ttl) return false;
+      ++stats_.second_level_hits;
+      ++stats_.brownout_stale_hits;
+      return true;
     }
     if (!cache_.contains_lbn(lbn, target)) return false;
     ++stats_.second_level_hits;
@@ -58,107 +54,83 @@ void NCacheModule::attach_initiator(iscsi::IscsiInitiator& initiator) {
   });
 }
 
-void NCacheModule::note_pressure() {
-  if (brownout_.enabled) {
-    brownout_note_pressure();
-    return;
+namespace {
+
+/// The window count that enters `tier`; nullopt when the ladder skips it.
+std::optional<std::size_t> threshold(const LadderConfig& c, BrownoutTier tier) {
+  switch (tier) {
+    case BrownoutTier::ServeStale:
+      return c.serve_stale_at;
+    case BrownoutTier::PhysicalCopy:
+      return c.physical_copy_at;
+    case BrownoutTier::Shed:
+      return c.shed_at;
+    case BrownoutTier::Normal:
+      break;
   }
-  if (!degrade_.enabled) return;
-  sim::Time now = stack_.loop().now();
-  last_pressure_ = now;
-  if (degraded_) return;
-  pressure_events_.push_back(now);
-  sim::Time horizon =
-      now > degrade_.pressure_window ? now - degrade_.pressure_window : 0;
-  while (!pressure_events_.empty() && pressure_events_.front() < horizon) {
-    pressure_events_.pop_front();
-  }
-  if (pressure_events_.size() >= degrade_.pressure_threshold) {
-    degraded_ = true;
-    degraded_since_ = now;
-    pressure_events_.clear();
-    ++stats_.degrade_entries;
-    NC_WARN("ncache", "pressure spike: degrading to physical-copy path");
-  }
+  return std::nullopt;
 }
 
-void NCacheModule::brownout_note_pressure() {
+BrownoutTier below(BrownoutTier tier) { return BrownoutTier(int(tier) - 1); }
+
+}  // namespace
+
+void NCacheModule::note_pressure() {
   sim::Time now = stack_.loop().now();
   last_pressure_ = now;
   pressure_events_.push_back(now);
   sim::Time horizon =
-      now > brownout_.pressure_window ? now - brownout_.pressure_window : 0;
+      now > ladder_.pressure_window ? now - ladder_.pressure_window : 0;
   while (!pressure_events_.empty() && pressure_events_.front() < horizon) {
     pressure_events_.pop_front();
   }
   // The window is NOT cleared on escalation: sustained pressure keeps the
   // count climbing through the higher thresholds.
   std::size_t n = pressure_events_.size();
-  BrownoutTier target = BrownoutTier::Normal;
-  if (n >= brownout_.tier3_threshold) {
-    target = BrownoutTier::Shed;
-  } else if (n >= brownout_.tier2_threshold) {
-    target = BrownoutTier::PhysicalCopy;
-  } else if (n >= brownout_.tier1_threshold) {
-    target = BrownoutTier::ServeStale;
+  for (auto t = BrownoutTier::Shed; t > tier_; t = below(t)) {
+    auto at = threshold(ladder_, t);
+    if (at && n >= *at) {
+      set_tier(t, now);
+      return;
+    }
   }
-  if (target > tier_) set_tier(target, now);
 }
 
-void NCacheModule::brownout_maybe_recover() {
+void NCacheModule::maybe_recover() {
   if (tier_ == BrownoutTier::Normal) return;
   sim::Time now = stack_.loop().now();
-  if (now - tier_since_ < brownout_.min_dwell) return;
-  if (now - last_pressure_ < brownout_.quiet_period) return;
-  // One tier at a time; the dwell clock restarts at every step.
-  set_tier(BrownoutTier(int(tier_) - 1), now);
+  if (now - tier_since_ < ladder_.min_dwell) return;
+  if (now - last_pressure_ < ladder_.quiet_period) return;
+  // One configured tier at a time; the dwell clock restarts at every step.
+  auto t = below(tier_);
+  while (t != BrownoutTier::Normal && !threshold(ladder_, t)) t = below(t);
+  set_tier(t, now);
 }
 
 void NCacheModule::set_tier(BrownoutTier tier, sim::Time now) {
-  bool was_degraded = tier_ >= BrownoutTier::PhysicalCopy;
-  bool is_degraded = tier >= BrownoutTier::PhysicalCopy;
+  bool was_degraded = degraded();
   if (tier > tier_) {
     ++stats_.brownout_escalations;
-    NC_WARN("ncache", "brownout escalation: tier %d -> %d", int(tier_),
-            int(tier));
+    NC_WARN("ncache", "pressure spike: tier %d -> %d", int(tier_), int(tier));
   } else {
     ++stats_.brownout_deescalations;
-    NC_WARN("ncache", "brownout recovery step: tier %d -> %d", int(tier_),
+    NC_WARN("ncache", "pressure subsided: tier %d -> %d", int(tier_),
             int(tier));
   }
   tier_ = tier;
   tier_since_ = now;
-  // Keep the legacy degraded flag (and its time accounting) mirroring the
-  // PhysicalCopy boundary so degraded()/degraded_ns() stay meaningful.
-  if (!was_degraded && is_degraded) {
-    degraded_ = true;
+  if (!was_degraded && degraded()) {
     degraded_since_ = now;
     ++stats_.degrade_entries;
-  } else if (was_degraded && !is_degraded) {
-    degraded_ = false;
+  } else if (was_degraded && !degraded()) {
     degraded_total_ns_ += now - degraded_since_;
     ++stats_.degrade_exits;
   }
 }
 
-void NCacheModule::maybe_recover() {
-  if (brownout_.enabled) {
-    brownout_maybe_recover();
-    return;
-  }
-  if (!degraded_) return;
-  sim::Time now = stack_.loop().now();
-  if (now - degraded_since_ < degrade_.min_dwell) return;
-  if (now - last_pressure_ < degrade_.quiet_period) return;
-  degraded_ = false;
-  degraded_total_ns_ += now - degraded_since_;
-  ++stats_.degrade_exits;
-  NC_WARN("ncache", "pressure subsided: resuming logical-copy path");
-}
-
 sim::Duration NCacheModule::degraded_ns() const noexcept {
   sim::Duration total = degraded_total_ns_;
-  if (degraded_) total += stack_.loop().now() - degraded_since_;
+  if (degraded()) total += stack_.loop().now() - degraded_since_;
   return total;
 }
 
@@ -286,12 +258,13 @@ void NCacheModule::register_metrics(MetricRegistry& registry,
                    [this] { return stats_.degrade_exits; });
   registry.counter(node, "ncache.degraded_ingest_bypass",
                    [this] { return stats_.degraded_ingest_bypass; });
-  registry.gauge(node, "ncache.degraded", [this] { return degraded_ ? 1.0 : 0.0; });
+  registry.gauge(node, "ncache.degraded", [this] { return degraded() ? 1.0 : 0.0; });
   registry.counter(node, "ncache.degraded_ns",
                    [this] { return std::uint64_t(degraded_ns()); });
-  // Brownout rows only exist when the ladder is on: disabled runs keep the
-  // historical metrics JSON byte-for-byte.
-  if (brownout_.enabled) {
+  // Brownout rows only exist when the ladder goes beyond the physical-copy
+  // fallback: runs without ServeStale or Shed keep the historical metrics
+  // JSON byte-for-byte.
+  if (ladder_.serve_stale_at || ladder_.shed_at) {
     registry.gauge(node, "ncache.brownout.tier",
                    [this] { return double(int(tier_)); });
     registry.counter(node, "ncache.brownout.escalations",

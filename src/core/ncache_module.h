@@ -17,6 +17,7 @@
 #pragma once
 
 #include <deque>
+#include <optional>
 
 #include "core/net_centric_cache.h"
 #include "iscsi/initiator.h"
@@ -39,51 +40,46 @@ struct ModuleStats {
   std::uint64_t brownout_stale_hits = 0;  ///< ServeStale probes within TTL
 };
 
-/// Brownout ladder (graded degradation). Tiers are ordered by severity;
-/// each keeps everything the previous tier gave up and sheds more:
+/// Degradation ladder. Tiers are ordered by severity; each keeps
+/// everything the previous tier gave up and sheds more:
 ///   Normal       — full NCache operation;
 ///   ServeStale   — ingestion bypassed (relieves pool pressure); the
 ///                  second-level probe still answers from cache, but only
 ///                  for chunks younger than `stale_ttl`;
-///   PhysicalCopy — the legacy degraded mode: physical copies everywhere,
-///                  probe disabled;
+///   PhysicalCopy — the degraded mode: the paper's Original path, physical
+///                  copies everywhere, probe disabled;
 ///   Shed         — additionally tells the NFS server (via its shed probe)
 ///                  to drop incoming data ops at the door.
 enum class BrownoutTier { Normal = 0, ServeStale = 1, PhysicalCopy = 2, Shed = 3 };
 
+/// When the module climbs and descends the ladder. Pressure events (pool
+/// insert failures, substitution misses) accumulate in a rolling
+/// `pressure_window`, and the window count enters the highest tier whose
+/// threshold it reaches. Escalation is immediate and can skip tiers; the
+/// window is not cleared on escalation, so sustained pressure keeps
+/// climbing. Recovery steps down one tier at a time, each step gated by
+/// `min_dwell` since the last change plus `quiet_period` with no pressure —
+/// the hysteresis that prevents flapping. A tier without a threshold is
+/// skipped both ways.
+///
+/// The default is the physical-copy fallback alone: 8 events in 50 ms trip
+/// it, and it recovers after a 200 ms dwell and 100 ms of quiet.
+struct LadderConfig {
+  std::optional<std::size_t> serve_stale_at;        ///< window count entering ServeStale
+  std::optional<std::size_t> physical_copy_at = 8;  ///< entering PhysicalCopy
+  std::optional<std::size_t> shed_at;               ///< entering Shed
+  sim::Duration pressure_window = 50 * sim::kMillisecond;
+  sim::Duration stale_ttl = 500 * sim::kMillisecond;  ///< ServeStale age bound
+  sim::Duration min_dwell = 200 * sim::kMillisecond;
+  sim::Duration quiet_period = 100 * sim::kMillisecond;
+};
+
+/// The full four-tier brownout ladder.
+inline constexpr LadderConfig kBrownoutLadder{
+    .serve_stale_at = 8, .physical_copy_at = 16, .shed_at = 32};
+
 class NCacheModule {
  public:
-  /// Graceful-degradation policy: when the pinned pool is exhausted or
-  /// substitution misses spike (`pressure_threshold` events inside
-  /// `pressure_window`), the module falls back to the physical-copy
-  /// Original path. It stays degraded at least `min_dwell` (hysteresis)
-  /// and recovers once `quiet_period` passes with no new pressure.
-  struct DegradeConfig {
-    bool enabled = true;
-    std::size_t pressure_threshold = 8;
-    sim::Duration pressure_window = 50 * sim::kMillisecond;
-    sim::Duration min_dwell = 200 * sim::kMillisecond;
-    sim::Duration quiet_period = 100 * sim::kMillisecond;
-  };
-
-  /// Brownout policy. When enabled it replaces the two-state DegradeConfig
-  /// machine with the four-tier ladder above: the same pressure events
-  /// (insert failures, substitution misses) accumulate in a rolling window
-  /// and the window count picks the tier. Escalation is immediate and can
-  /// skip tiers; recovery steps down one tier at a time, each step gated
-  /// by `min_dwell` since the last change plus `quiet_period` with no
-  /// pressure — the hysteresis that prevents flapping.
-  struct BrownoutConfig {
-    bool enabled = false;
-    std::size_t tier1_threshold = 8;   ///< window count entering ServeStale
-    std::size_t tier2_threshold = 16;  ///< entering PhysicalCopy
-    std::size_t tier3_threshold = 32;  ///< entering Shed
-    sim::Duration pressure_window = 50 * sim::kMillisecond;
-    sim::Duration stale_ttl = 500 * sim::kMillisecond;  ///< ServeStale age bound
-    sim::Duration min_dwell = 200 * sim::kMillisecond;
-    sim::Duration quiet_period = 100 * sim::kMillisecond;
-  };
-
   NCacheModule(proto::NetworkStack& stack, NetCentricCache::Config config);
 
   /// Installs the egress interceptor on every NIC of the host stack.
@@ -115,18 +111,17 @@ class NCacheModule {
   const ModuleStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = ModuleStats{}; }
 
-  bool degraded() const noexcept { return degraded_; }
-  DegradeConfig& degrade_config() noexcept { return degrade_; }
+  /// In PhysicalCopy or above.
+  bool degraded() const noexcept { return tier_ >= BrownoutTier::PhysicalCopy; }
   /// Total time spent degraded, including the current stretch.
   sim::Duration degraded_ns() const noexcept;
 
-  /// Configure before register_metrics (brownout rows register only when
-  /// enabled, preserving byte-identity of disabled runs).
-  BrownoutConfig& brownout_config() noexcept { return brownout_; }
+  /// Configure before register_metrics (the ncache.brownout.* rows register
+  /// only with a ServeStale or Shed tier, preserving byte-identity of runs
+  /// that use the plain physical-copy fallback).
+  LadderConfig& ladder_config() noexcept { return ladder_; }
   BrownoutTier brownout_tier() const noexcept { return tier_; }
-  bool shed_active() const noexcept {
-    return brownout_.enabled && tier_ == BrownoutTier::Shed;
-  }
+  bool shed_active() const noexcept { return tier_ == BrownoutTier::Shed; }
   /// The NFS server's shed probe: gives recovery a chance to run (the
   /// ladder is checked lazily, on hook calls) and reports whether the
   /// top tier is active.
@@ -141,30 +136,22 @@ class NCacheModule {
 
  private:
   /// Records one pressure event (insert failure / substitution miss) and
-  /// enters degraded mode when the rolling window trips.
+  /// escalates to the highest tier the rolling window reaches.
   void note_pressure();
-  /// Lazy recovery check on every hook call: leave degraded mode once the
+  /// Lazy recovery check on every hook call: step down one tier once the
   /// dwell and quiet conditions hold.
   void maybe_recover();
-
-  /// Brownout variants of the two above (used when brownout_.enabled).
-  void brownout_note_pressure();
-  void brownout_maybe_recover();
   void set_tier(BrownoutTier tier, sim::Time now);
   /// Whether ingestion should fall back to the physical-copy path.
-  bool ingest_bypass() const noexcept {
-    return brownout_.enabled ? tier_ >= BrownoutTier::ServeStale : degraded_;
-  }
+  bool ingest_bypass() const noexcept { return tier_ != BrownoutTier::Normal; }
 
   proto::NetworkStack& stack_;
   NetCentricCache cache_;
   ModuleStats stats_;
 
-  DegradeConfig degrade_;
-  BrownoutConfig brownout_;
+  LadderConfig ladder_;
   BrownoutTier tier_ = BrownoutTier::Normal;
   sim::Time tier_since_ = 0;
-  bool degraded_ = false;
   std::deque<sim::Time> pressure_events_;  ///< rolling window
   sim::Time degraded_since_ = 0;
   sim::Time last_pressure_ = 0;

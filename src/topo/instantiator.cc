@@ -417,11 +417,7 @@ void World::build_roles() {
         s.ncache = std::make_unique<core::NCacheModule>(s.node->stack, cc);
         s.ncache->attach_egress();
         s.ncache->attach_initiator(*s.initiator);
-        if (config_.overload.brownout) {
-          auto bc = config_.overload.brownout_cfg;
-          bc.enabled = true;
-          s.ncache->brownout_config() = bc;
-        }
+        s.ncache->ladder_config() = config_.overload.ncache_ladder;
         break;
       }
       case core::PassMode::Baseline:
@@ -585,7 +581,7 @@ void World::start_nfs() {
     sc.overload.queue_limit = config_.overload.nfs_queue_limit;
     s.nfs = std::make_unique<nfs::NfsServer>(s.node->stack, *s.fs, sc,
                                              s.ncache.get());
-    if (config_.overload.brownout && s.ncache) {
+    if (s.ncache && s.ncache->ladder_config().shed_at) {
       s.nfs->set_shed_probe(
           [nc = s.ncache.get()] { return nc->shed_probe(); });
     }

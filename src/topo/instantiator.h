@@ -124,16 +124,16 @@ struct WorldConfig {
     bool admission = false;        ///< AIMD token bucket at the balancer VIP
     bool qdepth_feedback = false;  ///< replica queue depth on heartbeat acks
     bool retry_budget = false;     ///< per-node budgets (NFS/iSCSI/peer paths)
-    bool brownout = false;         ///< NCache tier ladder + NFS shed probe
 
     overload::CoDelState::Config codel;  ///< server queue discipline
     std::size_t nfs_queue_limit = 8192;  ///< hard bound (always enforced)
     overload::AimdRate::Config aimd;     ///< admission controller
     std::uint32_t admission_qdepth_high = 16;  ///< congestion signal level
     overload::RetryBudget::Config budget;
-    /// Tier thresholds / TTL / hysteresis; the embedded `enabled` flag is
-    /// ignored (the `brownout` gate above decides).
-    core::NCacheModule::BrownoutConfig brownout_cfg;
+    /// NCache's degradation ladder. The default is the physical-copy
+    /// fallback alone; core::kBrownoutLadder adds ServeStale and Shed, and
+    /// a Shed tier also installs the NFS server's shed probe.
+    core::LadderConfig ncache_ladder;
   };
   OverloadConfig overload;
 

@@ -1,11 +1,9 @@
 // Node construction and cabling shared by every materialized topology.
 //
-// Moved here from src/testbed/wiring.{h,cc}: the topology Instantiator is
-// now the one place that builds simulated hosts and cables them into
-// switches; `testbed/wiring.h` remains as a compatibility alias. A Node is
-// one simulated host — CPU + copy engine + network stack — and the
-// helpers keep the cables-first crash discipline in one place instead of
-// duplicated per topology.
+// The topology Instantiator is the one place that builds simulated hosts
+// and cables them into switches. A Node is one simulated host — CPU + copy
+// engine + network stack — and the helpers keep the cables-first crash
+// discipline in one place instead of duplicated per topology.
 #pragma once
 
 #include <memory>

@@ -320,8 +320,8 @@ TEST(Fault, DegradationEngagesAndRecovers) {
   constexpr std::size_t kSize = 256 * 1024;
   std::uint32_t ino = tb.image().add_file("f.bin", kSize);
   tb.start_nfs();
-  auto& dc = tb.ncache()->degrade_config();
-  dc.pressure_threshold = 4;
+  auto& dc = tb.ncache()->ladder_config();
+  dc.physical_copy_at = 4;
 
   run_on(tb, [&]() -> Task<void> {
     auto& client = tb.nfs_client(0);

@@ -5,11 +5,13 @@
 //    AIMD clamping — all on caller-supplied nanoseconds.
 //  * Cache freshness: insert_lbn/insert_fho stamp chunks with the loop
 //    clock, so the ServeStale brownout tier can bound staleness by age.
-//  * Brownout ladder: sustained pressure escalates Normal -> ServeStale ->
-//    PhysicalCopy -> Shed (the window is not cleared between tiers, and a
-//    big enough window skips tiers); recovery steps down one tier at a
-//    time, gated by dwell + quiet hysteresis. The PhysicalCopy crossing
-//    keeps the legacy degraded()/degraded_ns() accounting intact.
+//  * Degradation ladder: sustained pressure escalates Normal -> ServeStale
+//    -> PhysicalCopy -> Shed (the window is not cleared between tiers, and
+//    a big enough window skips tiers); recovery steps down one tier at a
+//    time, gated by dwell + quiet hysteresis. degraded()/degraded_ns()
+//    cover the PhysicalCopy-and-above stretch. The default ladder is the
+//    physical-copy fallback alone: 8 events in 50 ms trip it, and one
+//    recovery step returns it to Normal.
 //  * NFS server: the hard queue bound drops (and meters) floods even with
 //    every overload gate off; with the gate on, CoDel sheds standing
 //    queues while metadata ops jump past the data backlog.
@@ -34,6 +36,7 @@
 #include <vector>
 
 #include "cluster/cluster_testbed.h"
+#include "common/metrics.h"
 #include "common/overload.h"
 #include "core/ncache_module.h"
 #include "fs/image_builder.h"
@@ -245,11 +248,10 @@ TEST_F(OverloadModuleTest, InsertTimestampsFollowTheClock) {
 }
 
 TEST_F(OverloadModuleTest, LadderEscalatesStepwiseAndRecoversWithHysteresis) {
-  auto& bc = module_.brownout_config();
-  bc.enabled = true;
-  bc.tier1_threshold = 2;
-  bc.tier2_threshold = 4;
-  bc.tier3_threshold = 6;
+  auto& bc = module_.ladder_config();
+  bc.serve_stale_at = 2;
+  bc.physical_copy_at = 4;
+  bc.shed_at = 6;
   bc.min_dwell = 10 * kMillisecond;
   bc.quiet_period = 5 * kMillisecond;
 
@@ -298,11 +300,10 @@ TEST_F(OverloadModuleTest, LadderEscalatesStepwiseAndRecoversWithHysteresis) {
 }
 
 TEST_F(OverloadModuleTest, EscalationSkipsTiersUnderABurst) {
-  auto& bc = module_.brownout_config();
-  bc.enabled = true;
-  bc.tier1_threshold = 2;
-  bc.tier2_threshold = 2;
-  bc.tier3_threshold = 2;
+  auto& bc = module_.ladder_config();
+  bc.serve_stale_at = 2;
+  bc.physical_copy_at = 2;
+  bc.shed_at = 2;
 
   loop_.advance_to(1 * kMillisecond);
   press();
@@ -311,6 +312,48 @@ TEST_F(OverloadModuleTest, EscalationSkipsTiersUnderABurst) {
   EXPECT_EQ(module_.brownout_tier(), BrownoutTier::Shed);
   EXPECT_EQ(module_.stats().brownout_escalations, 1u);
   EXPECT_TRUE(module_.degraded());
+  EXPECT_EQ(module_.stats().degrade_entries, 1u);
+}
+
+TEST_F(OverloadModuleTest, DefaultLadderIsThePhysicalCopyFallback) {
+  MetricRegistry registry;
+  module_.register_metrics(registry, "host");
+  for (const auto& m : registry.metrics()) {
+    EXPECT_FALSE(m.name.starts_with("ncache.brownout.")) << m.name;
+  }
+
+  // Seven events inside the 50 ms window stay below the threshold, and no
+  // gentler tier engages either: ingests still go to the pool.
+  for (int i = 1; i <= 7; ++i) {
+    loop_.advance_to(sim::Time(i) * kMillisecond);
+    press();
+    EXPECT_FALSE(module_.shed_probe());
+  }
+  module_.ingest_lbn(0, 1, chain_of(4096, 1));
+  EXPECT_FALSE(module_.degraded());
+  EXPECT_EQ(module_.stats().degraded_ingest_bypass, 0u);
+
+  // The eighth goes straight to the physical-copy path.
+  loop_.advance_to(8 * kMillisecond);
+  press();
+  EXPECT_TRUE(module_.degraded());
+  EXPECT_EQ(registry.counter_value("host", "ncache.degrade_entries"), 1u);
+  EXPECT_FALSE(module_.shed_probe());
+
+  // One probe after dwell + quiet (200 + 100 ms) recovers in a single step.
+  const sim::Duration dwell = 300 * kMillisecond;
+  loop_.advance_to(8 * kMillisecond + dwell);
+  EXPECT_FALSE(module_.shed_probe());
+  EXPECT_FALSE(module_.degraded());
+  EXPECT_EQ(module_.stats().degrade_exits, 1u);
+  EXPECT_EQ(registry.counter_value("host", "ncache.degraded_ns"), dwell);
+  module_.ingest_lbn(0, 2, chain_of(4096, 2));
+  EXPECT_EQ(module_.stats().degraded_ingest_bypass, 0u);
+
+  // Events from before the recovery have left the window.
+  for (int i = 0; i < 7; ++i) press();
+  EXPECT_FALSE(module_.degraded());
+  EXPECT_FALSE(module_.shed_probe());
   EXPECT_EQ(module_.stats().degrade_entries, 1u);
 }
 
@@ -323,14 +366,13 @@ TEST(Brownout, TestbedGateEngagesServeStaleAndRecovers) {
   cfg.mode = PassMode::NCache;
   // Pool smaller than a block: every ingest insert fails deterministically.
   cfg.ncache_budget_bytes = 2048;
-  cfg.overload.brownout = true;
-  cfg.overload.brownout_cfg.tier1_threshold = 2;
-  cfg.overload.brownout_cfg.tier2_threshold = 100;
-  cfg.overload.brownout_cfg.tier3_threshold = 200;
+  cfg.overload.ncache_ladder.serve_stale_at = 2;
+  cfg.overload.ncache_ladder.physical_copy_at = 100;
+  cfg.overload.ncache_ladder.shed_at = 200;
   // Dwell/quiet well above the disk-paced ingest cadence, so the tier
   // cannot flap between the per-block pressure events of one read.
-  cfg.overload.brownout_cfg.min_dwell = 200 * kMillisecond;
-  cfg.overload.brownout_cfg.quiet_period = 100 * kMillisecond;
+  cfg.overload.ncache_ladder.min_dwell = 200 * kMillisecond;
+  cfg.overload.ncache_ladder.quiet_period = 100 * kMillisecond;
   Testbed tb(cfg);
   std::uint32_t ino = tb.image().add_file("f.bin", 256 * 1024);
   tb.start_nfs();
@@ -356,7 +398,7 @@ TEST(Brownout, TestbedGateEngagesServeStaleAndRecovers) {
   });
 
   EXPECT_EQ(mod->stats().brownout_escalations, 1u);
-  // Brownout rows register only when the gate is on.
+  // Brownout rows register only with a ServeStale or Shed tier.
   EXPECT_DOUBLE_EQ(tb.metrics().gauge_value("server0", "ncache.brownout.tier"),
                    1.0);
   EXPECT_EQ(tb.metrics().counter_value("server0", "ncache.brownout.escalations"),
@@ -689,7 +731,7 @@ OverloadRacksRun run_racks_overload(unsigned threads) {
   cfg.peer_without_balancer = true;
   cfg.overload.server_queue = true;
   cfg.overload.retry_budget = true;
-  cfg.overload.brownout = true;
+  cfg.overload.ncache_ladder = core::kBrownoutLadder;
   cfg.overload.nfs_queue_limit = 32;
   cfg.overload.codel.target_ns = 1'000'000;
   cfg.overload.codel.interval_ns = 10'000'000;
