@@ -16,14 +16,9 @@
 //     every client must match the written pattern or the image. The bench
 //     exits nonzero on any stale read.
 //
-// A final in-binary check replays a partitioned cluster_racks run under
-// the ParallelEngine at T=1 and T=2: the Partition primitive must leave
-// the simulation byte-identical across worker counts.
-//
 // All numbers derive from simulated time: two same-seed runs are
 // byte-identical after the "wall" block is stripped.
 #include "bench/bench_util.h"
-#include "common/zipf.h"
 #include "fault/fault_injector.h"
 #include "topo/instantiator.h"
 #include "topo/presets.h"
@@ -258,71 +253,6 @@ json::Value run_cell(int racks, sim::Duration cut, std::uint64_t file_bytes,
   return row;
 }
 
-// ---------------------------------------------------------------------------
-// Partition + ParallelEngine: byte-identical across worker counts
-// ---------------------------------------------------------------------------
-
-Task<void> zipf_worker(nfs::NfsClient* client, int id,
-                       const std::vector<std::uint64_t>* files,
-                       const ZipfSampler* zipf, workload::StopFlag* stop,
-                       std::uint64_t* stream_hash, std::uint64_t* ops) {
-  ++stop->live_workers;
-  Pcg32 rng(91, 0x7000u + std::uint64_t(id));
-  while (!stop->stopped) {
-    std::uint64_t fh = (*files)[zipf->sample(rng)];
-    std::uint64_t off = 32768ull * rng.below(2);
-    auto r = co_await client->read(fh, off, kChunk);
-    if (r.status == Status::Ok) {
-      for (std::byte b : r.data.to_bytes()) {
-        *stream_hash = (*stream_hash ^ std::uint64_t(b)) * 0x100000001b3ull;
-      }
-      ++*ops;
-    }
-  }
-  --stop->live_workers;
-}
-
-struct ParRun {
-  std::vector<std::uint64_t> hashes;
-  std::uint64_t total_ops = 0;
-  sim::Time end_time = 0;
-};
-
-ParRun parallel_partition_run(unsigned threads, sim::Duration window) {
-  topo::WorldConfig cfg;
-  cfg.mode = PassMode::NCache;
-  cfg.partitioned = true;
-  cfg.threads = threads;
-  cfg.peer_without_balancer = true;
-  topo::World world(topo::presets::cluster_racks(2, 2), cfg);
-  std::vector<std::uint64_t> files;
-  for (int i = 0; i < 8; ++i) {
-    files.push_back(world.image().add_file("z" + std::to_string(i), 64 * 1024));
-  }
-  world.start_nfs();
-
-  auto part = world.make_partition({"rack1"});
-  world.faults().partition(part, 30 * sim::kMillisecond,
-                           50 * sim::kMillisecond);
-
-  const int n = world.client_count();
-  ZipfSampler zipf(8, 0.98);
-  ParRun run;
-  run.hashes.assign(std::size_t(n), 0xcbf29ce484222325ull);
-  std::vector<std::uint64_t> ops(std::size_t(n), 0);
-  workload::StopFlag stop;
-  for (int c = 0; c < n; ++c) {
-    unsigned d = world.domain_of("client" + std::to_string(c));
-    zipf_worker(&world.nfs_client(c), c, &files, &zipf, &stop,
-                &run.hashes[std::size_t(c)], &ops[std::size_t(c)])
-        .detach(world.engine().domain_loop(d).reaper());
-  }
-  workload::run_measurement(world.engine(), stop, window);
-  for (std::uint64_t o : ops) run.total_ops += o;
-  run.end_time = world.engine().now();
-  return run;
-}
-
 }  // namespace
 }  // namespace ncache::bench
 
@@ -335,7 +265,7 @@ int main(int argc, char** argv) {
       "Chaos partition: duration x rack-count sweep over cluster_racks",
       "partitioned-then-healed runs converge with zero stale reads; "
       "convergence bounded by the reliable-invalidate backoff cap plus one "
-      "digest round trip; bit-identical under the parallel engine");
+      "digest round trip");
   print_row_header({"racks", "cut_ms", "conv_ms", "stale", "errors"});
 
   BenchReport report(opts, "chaos_partition",
@@ -371,28 +301,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The same Partition primitive under the ParallelEngine: T=1 and T=2
-  // must agree on every client stream, op count and end time.
-  const ncache::sim::Duration window =
-      (opts.smoke ? 100 : 200) * kMillisecond;
-  ParRun t1 = parallel_partition_run(1, window);
-  ParRun t2 = parallel_partition_run(2, window);
-  bool deterministic = t1.hashes == t2.hashes &&
-                       t1.total_ops == t2.total_ops &&
-                       t1.end_time == t2.end_time && t1.total_ops > 0;
-  std::printf("  parallel determinism (T=1 vs T=2): %s (%llu ops)\n",
-              deterministic ? "identical" : "DIVERGED",
-              (unsigned long long)t1.total_ops);
-
   auto& shape = report.shape();
   shape.set("cells", std::int64_t(cells));
   shape.set("stale_reads_total", totals.stale_reads);
   shape.set("chunk_errors_total", totals.chunk_errors);
   shape.set("max_convergence_ms", totals.max_convergence_ms);
   shape.set("repair_traffic_total", totals.repair_traffic);
-  shape.set("parallel_deterministic", deterministic);
   return (report.write() && totals.stale_reads == 0 &&
-          totals.chunk_errors == 0 && deterministic)
+          totals.chunk_errors == 0)
              ? 0
              : 1;
 }

@@ -23,17 +23,14 @@
 //   * buffer_pool — a 256-slot ring of live buffers cycled through
 //     allocate/release across five size classes, half from a pinned
 //     BufferPool and half from make_buffer (ordinary kernel memory).
-//   * parallel_engine_tN — the same ticker workload split over 4 domains
-//     driven by the ParallelEngine at T = 1/2/4 workers, with couriers
-//     bouncing between domains to exercise the cross-domain staging and
-//     merge path. Each row's wall block carries events_per_sec and
-//     speedup_x (vs the T=1 row of the same run); the event counts are
-//     asserted identical across T (the engine's determinism contract).
+//   * parallel_engine — the same ticker workload split over 4 domains
+//     driven by the ParallelEngine, with couriers bouncing between
+//     domains to exercise the cross-domain staging and merge path; the
+//     wall block carries events_per_sec.
 //
 // The steady-state phase re-runs the event workload after warm-up and
 // reports its absolute allocation count ("steady_allocs"): the slab/SBO
 // acceptance bar is that this is exactly zero.
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -49,20 +46,18 @@
 
 // ---- global allocation counter ----------------------------------------------
 // Overriding the replaceable global allocation functions in any TU rewires
-// the whole binary; the counter is a relaxed atomic because the
-// parallel_engine case below allocates from worker threads (the count
-// stays exact — relaxed ordering only forfeits ordering, not increments).
+// the whole binary.
 namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
+std::uint64_t g_heap_allocs = 0;
 }  // namespace
 
 void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++g_heap_allocs;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
 void* operator new(std::size_t n, std::align_val_t al) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++g_heap_allocs;
   std::size_t a = std::size_t(al);
   if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
   throw std::bad_alloc();
@@ -112,9 +107,8 @@ sim::Duration next_delay(std::uint64_t& rng) {
 /// Delay mix for the parallel-engine phase: all targets land within a few
 /// conservative windows, the shape of a loaded rack (per-request service
 /// chains), so each round carries thousands of events per domain and the
-/// barrier cost amortizes. The far targets of next_delay() would instead
-/// measure the engine's sparse-window overhead, which the single-busy-
-/// domain fast path already keeps off the pool.
+/// per-round cost amortizes. The far targets of next_delay() would
+/// instead measure the engine's sparse-window overhead.
 sim::Duration next_delay_dense(std::uint64_t& rng) {
   std::uint64_t r = next_rng(rng);
   std::uint64_t pick = r % 100;
@@ -225,13 +219,13 @@ struct ParallelPhase {
   double wall_ms = 0;
 };
 
-ParallelPhase run_parallel_phase(unsigned threads, unsigned domains,
+ParallelPhase run_parallel_phase(unsigned domains,
                                  std::uint64_t tickers_per_domain,
                                  std::uint64_t events_per_ticker,
                                  std::uint64_t seed_base) {
   constexpr sim::Duration kLookahead = 50'000;  // 50 us trunk latency
   std::vector<std::unique_ptr<sim::EventLoop>> loops;
-  sim::ParallelEngine eng(threads);
+  sim::ParallelEngine eng;
   for (unsigned d = 0; d < domains; ++d) {
     loops.push_back(std::make_unique<sim::EventLoop>());
     loops.back()->reserve_pending(tickers_per_domain + 1'024);
@@ -353,45 +347,24 @@ int run(int argc, char** argv) {
     report.add_row(std::move(row));
   }
 
-  // Parallel engine: same deterministic workload at T = 1/2/4 workers.
+  // Parallel engine: the dense ticker workload over 4 domains.
   const unsigned kDomains = 4;
   const std::uint64_t kParTickers = opts.smoke ? 2'048 : 4'096;
   const std::uint64_t kParPerTicker = opts.smoke ? 40 : 300;
-  double t1_wall_ms = 0;
-  std::uint64_t t1_events = 0;
-  for (unsigned threads : {1u, 2u, 4u}) {
-    ParallelPhase p = run_parallel_phase(threads, kDomains, kParTickers,
-                                         kParPerTicker, 0x9a11);
-    if (threads == 1) {
-      t1_wall_ms = p.wall_ms;
-      t1_events = p.events;
-    } else if (p.events != t1_events) {
-      std::fprintf(stderr,
-                   "parallel_engine: T=%u ran %llu events, T=1 ran %llu — "
-                   "determinism violated\n",
-                   threads, (unsigned long long)p.events,
-                   (unsigned long long)t1_events);
-      return 1;
-    }
+  {
+    ParallelPhase p =
+        run_parallel_phase(kDomains, kParTickers, kParPerTicker, 0x9a11);
     double per_sec =
         p.wall_ms > 0 ? double(p.events) / (p.wall_ms / 1e3) : 0.0;
-    double speedup = p.wall_ms > 0 ? t1_wall_ms / p.wall_ms : 0.0;
-    std::printf("parallel_engine T=%u: %llu events, %.1f ms, "
-                "%.0f events/sec, %.2fx vs T=1\n",
-                threads, (unsigned long long)p.events, p.wall_ms, per_sec,
-                speedup);
+    std::printf("parallel_engine: %llu events, %.1f ms, %.0f events/sec\n",
+                (unsigned long long)p.events, p.wall_ms, per_sec);
     auto row = json::Value::object();
-    row.set("case", "parallel_engine_t" + std::to_string(threads));
-    row.set("threads", std::uint64_t(threads));
+    row.set("case", "parallel_engine");
     row.set("domains", std::uint64_t(kDomains));
     row.set("n_events", p.events);
     auto wall = json::Value::object();
     wall.set("wall_ms", p.wall_ms);
     wall.set("events_per_sec", per_sec);
-    // The speedup is a ratio of two wall times; at smoke scale both are a
-    // few ms, so the ratio is pure noise and would trip the perf_smoke
-    // self-consistency gate. Full runs (the committed baselines) emit it.
-    if (!opts.smoke) wall.set("engine_speedup_x", speedup);
     row.set("wall", std::move(wall));
     report.add_row(std::move(row));
   }

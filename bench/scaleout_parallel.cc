@@ -1,23 +1,18 @@
-// Parallel-engine scale-out: the N-rack partitioned world (one event-loop
-// domain per switch) swept over worker-thread counts T, plus one SMP row.
+// Partitioned-engine scale-out: the N-rack partitioned world (one
+// event-loop domain per switch) driven by sim::ParallelEngine, plus one
+// SMP row.
 //
 // Shape: presets::cluster_racks — a core switch + iSCSI target, N racks
 // each holding one NCache server and its clients, servers peering
 // directly (no balancer). Each rack switch and the core are separate
-// engine domains, so the conservative window engine can run racks in
-// parallel between trunk-latency barriers.
+// engine domains, advanced in conservative trunk-latency windows.
 //
-// One row per T in the sweep. Every row re-runs the *same* seeded world,
-// and the engine guarantees the executed schedule is byte-identical for
-// every T: the bench hard-fails (exit 1) if per-client stream digests, op
-// counts, the final simulated clock, or the round count diverge across
-// threads. The deterministic fields prove correctness; the per-row
-// "wall" block carries the only honest perf claim — ops/s of wall clock
-// and the speedup over the T=1 row (tools/perf_compare.py gates both).
-// NOTE: speedup is bounded by the host's core count; on a single-core CI
-// box the expected value is ~1.0 (barrier overhead, no parallelism).
+// The deterministic fields (per-client stream digest, op count, final
+// simulated clock, round count) pin the partitioned schedule; the
+// per-row "wall" block carries the simulator's cost, ops/s of wall clock
+// (tools/perf_compare.py gates it against a committed baseline).
 //
-// The final row turns on the SMP server model (cores=4 per server): RSS
+// The second row turns on the SMP server model (cores=4 per server): RSS
 // flow steering spreads client flows across cores and cross-core NCache
 // key ownership shows up as accounted handoffs — both deterministic, both
 // in the row.
@@ -45,20 +40,16 @@ struct Sizes {
   int racks;
   int clients_per_rack;
   sim::Duration window;
-  std::vector<unsigned> threads;  ///< worker-thread sweep
-  unsigned smp_cores;             ///< cores= for the SMP row
+  unsigned smp_cores;  ///< cores= for the SMP row
 };
 
 Sizes sizes(const BenchOptions& opts) {
-  return opts.smoke
-             ? Sizes{4, 1, 60 * sim::kMillisecond, {1, 2}, 4}
-             : Sizes{8, 2, 400 * sim::kMillisecond, {1, 2, 4, 8}, 4};
+  return opts.smoke ? Sizes{4, 1, 60 * sim::kMillisecond, 4}
+                    : Sizes{8, 2, 400 * sim::kMillisecond, 4};
 }
 
 /// Closed-loop Zipf reader folding payload bytes into an order-sensitive
-/// FNV stream hash. Counters are plain per-client slots: each client
-/// coroutine lives on exactly one domain loop, so only that domain's
-/// worker ever touches them.
+/// FNV stream hash, one counter slot per client.
 Task<void> zipf_worker(nfs::NfsClient* cl, int client,
                        const std::vector<std::uint64_t>* files,
                        const ZipfSampler* zipf, StopFlag* stop,
@@ -92,11 +83,10 @@ struct RunResult {
   int cores_used = 0;
 };
 
-RunResult run_world(const Sizes& sz, unsigned threads, unsigned cores) {
+RunResult run_world(const Sizes& sz, unsigned cores) {
   topo::WorldConfig cfg;
   cfg.mode = PassMode::NCache;
   cfg.partitioned = true;
-  cfg.threads = threads;
   cfg.server_cores = cores;
   cfg.peer_without_balancer = true;
   topo::World world(
@@ -156,41 +146,22 @@ std::string hex64(std::uint64_t v) {
 int run(const BenchOptions& opts) {
   const Sizes sz = sizes(opts);
   BenchReport report(opts, "scaleout_parallel",
-                     "T-thread partitioned runs byte-identical to T=1; "
-                     "speedup bounded by host cores");
+                     "partitioned rack world: every field but wall is a "
+                     "pure function of the seed");
   print_header(
-      "Parallel engine scale-out: " + std::to_string(sz.racks) +
+      "Partitioned-engine scale-out: " + std::to_string(sz.racks) +
           " racks x " + std::to_string(sz.clients_per_rack) + " clients",
-      "identical schedule at every T; wall speedup up to min(T, host cores)");
-  print_row_header({"case", "threads", "ops", "wall_ms", "ops/s", "speedup"});
+      "same seed, same digests; SMP servers spread flows across cores");
+  print_row_header({"case", "ops", "wall_ms", "ops/s"});
 
-  bool deterministic = true;
-  RunResult ref;
-  double t1_wall_ms = 0;
-  for (unsigned t : sz.threads) {
-    RunResult r = run_world(sz, t, /*cores=*/1);
-    if (t == sz.threads.front()) {
-      ref = r;
-      t1_wall_ms = r.wall_ms;
-    } else if (r.digest != ref.digest || r.ops != ref.ops ||
-               r.end_time != ref.end_time || r.rounds != ref.rounds) {
-      deterministic = false;
-      std::fprintf(stderr,
-                   "DETERMINISM VIOLATION: T=%u diverged from T=%u "
-                   "(ops %" PRIu64 " vs %" PRIu64 ", digest %s vs %s)\n",
-                   t, sz.threads.front(), r.ops, ref.ops,
-                   hex64(r.digest).c_str(), hex64(ref.digest).c_str());
-    }
-    double ops_per_sec = r.wall_ms > 0 ? r.ops * 1e3 / r.wall_ms : 0;
-    double speedup = r.wall_ms > 0 ? t1_wall_ms / r.wall_ms : 0;
-    std::string name = "racks" + std::to_string(sz.racks) + "_t" +
-                       std::to_string(t);
-    std::printf("%14s%14u%14" PRIu64 "%14.1f%14.0f%13.2fx\n", name.c_str(),
-                t, r.ops, r.wall_ms, ops_per_sec, speedup);
-
+  const std::string racks = "racks" + std::to_string(sz.racks);
+  RunResult r = run_world(sz, /*cores=*/1);
+  double ops_per_sec = r.wall_ms > 0 ? r.ops * 1e3 / r.wall_ms : 0;
+  std::printf("%14s%14" PRIu64 "%14.1f%14.0f\n", racks.c_str(), r.ops,
+              r.wall_ms, ops_per_sec);
+  {
     json::Value row = json::Value::object();
-    row.set("case", name);
-    row.set("threads", std::int64_t(t));
+    row.set("case", racks);
     row.set("racks", std::int64_t(sz.racks));
     row.set("clients", std::int64_t(sz.racks * sz.clients_per_rack));
     row.set("ops", std::int64_t(r.ops));
@@ -200,31 +171,27 @@ int run(const BenchOptions& opts) {
     json::Value wall = json::Value::object();
     wall.set("wall_ms", r.wall_ms);
     wall.set("ops_per_sec", ops_per_sec);
-    // Speedup is a ratio of wall times; smoke windows are too short for
-    // the ratio to be signal (see perf_core), so only full runs emit it.
-    if (!opts.smoke) wall.set("racks_speedup_x", speedup);
     row.set("wall", std::move(wall));
     report.add_row(std::move(row));
   }
+  report.shape().set("racks", std::int64_t(sz.racks));
+  report.shape().set("total_ops", std::int64_t(r.ops));
 
-  // SMP row: same world, 4-core servers, widest thread sweep. RSS spreads
-  // the per-rack client flows across cores; key ownership is steered by
-  // the cache-key hash, so some egress substitutions must cross cores.
+  // SMP row: same world, 4-core servers. RSS spreads the per-rack client
+  // flows across cores; key ownership is steered by the cache-key hash,
+  // so some egress substitutions must cross cores.
   {
-    unsigned t = sz.threads.back();
-    RunResult r = run_world(sz, t, sz.smp_cores);
+    RunResult r = run_world(sz, sz.smp_cores);
     double ops_per_sec = r.wall_ms > 0 ? r.ops * 1e3 / r.wall_ms : 0;
-    std::string name = "racks" + std::to_string(sz.racks) + "_smp" +
-                       std::to_string(sz.smp_cores);
-    std::printf("%14s%14u%14" PRIu64 "%14.1f%14.0f%13s\n", name.c_str(), t,
-                r.ops, r.wall_ms, ops_per_sec, "-");
+    std::string name = racks + "_smp" + std::to_string(sz.smp_cores);
+    std::printf("%14s%14" PRIu64 "%14.1f%14.0f\n", name.c_str(), r.ops,
+                r.wall_ms, ops_per_sec);
     std::printf("  SMP: %d core-slots used across %d servers, %" PRIu64
                 " cross-core handoffs, %" PRIu64 " steals\n",
                 r.cores_used, sz.racks, r.handoffs, r.steals);
 
     json::Value row = json::Value::object();
     row.set("case", name);
-    row.set("threads", std::int64_t(t));
     row.set("server_cores", std::int64_t(sz.smp_cores));
     row.set("ops", std::int64_t(r.ops));
     row.set("stream_digest", hex64(r.digest));
@@ -243,20 +210,7 @@ int run(const BenchOptions& opts) {
     report.shape().set("smp_cross_core_handoffs", std::int64_t(r.handoffs));
   }
 
-  report.shape().set("threads_max", std::int64_t(sz.threads.back()));
-  report.shape().set("racks", std::int64_t(sz.racks));
-  report.shape().set("deterministic_across_threads",
-                     std::int64_t(deterministic ? 1 : 0));
-  report.shape().set("total_ops_t1", std::int64_t(ref.ops));
-
-  std::printf("\nDeterminism across T = {");
-  for (std::size_t i = 0; i < sz.threads.size(); ++i) {
-    std::printf("%s%u", i ? "," : "", sz.threads[i]);
-  }
-  std::printf("}: %s\n", deterministic ? "byte-identical" : "VIOLATED");
-
-  if (!report.write()) return 1;
-  return deterministic ? 0 : 1;
+  return report.write() ? 0 : 1;
 }
 
 }  // namespace

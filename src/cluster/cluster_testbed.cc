@@ -12,10 +12,7 @@ topo::WorldConfig ClusterTestbed::world_config(const ClusterConfig& config) {
   wc.ncache_budget_bytes = config.ncache_budget_bytes;
   wc.nfs_daemons = config.nfs_daemons;
   wc.peering = config.peering;
-  wc.push_on_miss = config.push_on_miss;
   wc.routing = config.routing;
-  wc.heartbeat_interval = config.heartbeat_interval;
-  wc.heartbeat_miss_limit = config.heartbeat_miss_limit;
   wc.overload = config.overload;
   wc.costs = config.costs;
   return wc;

@@ -43,10 +43,7 @@ struct ClusterConfig {
 
   // Peering / balancing.
   bool peering = true;        ///< cooperative cache (forced off in Baseline)
-  bool push_on_miss = true;
   Routing routing = Routing::FlowHash;
-  sim::Duration heartbeat_interval = 25 * sim::kMillisecond;
-  int heartbeat_miss_limit = 3;
 
   // Overload-control spine (all gates off by default — see WorldConfig).
   topo::WorldConfig::OverloadConfig overload;

@@ -205,7 +205,7 @@ Task<std::optional<MsgBuffer>> PeerCache::fetch(std::uint64_t lbn,
 
 void PeerCache::push_to_owner(std::uint64_t lbn, std::uint32_t count,
                               const MsgBuffer& chain) {
-  if (!running_ || fenced_ || !config_.push_on_miss || !ncache_) return;
+  if (!running_ || fenced_ || !ncache_) return;
   if (count == 0 || count > kExtentBlocks) return;  // one extent per datagram
   std::uint32_t owner = owner_of(lbn);
   if (owner == config_.self_id || !peer_ip(owner)) return;

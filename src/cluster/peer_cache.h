@@ -128,8 +128,7 @@ class PeerCache {
     std::uint32_t self_id = 0;
     std::uint32_t target_id = 0;  ///< iSCSI target the LBNs belong to
     core::PassMode mode = core::PassMode::Original;
-    bool enabled = true;       ///< peering on/off (off: pure fall-through)
-    bool push_on_miss = true;  ///< push target reads to the hash owner
+    bool enabled = true;  ///< peering on/off (off: pure fall-through)
     std::uint16_t port = kPeerPort;
     sim::Duration fetch_timeout = 10 * sim::kMillisecond;
     /// Cap on chunks re-homed per membership change (bounds the rebalance

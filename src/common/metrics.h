@@ -12,8 +12,8 @@
 // preserves registration order, which — together with the deterministic
 // simulation — makes two same-seed runs dump byte-identical snapshots.
 // Host-side metrics (registered with host_counter: allocator recycling,
-// whose counts depend on which host thread drops a buffer's last
-// reference) are sampled like any other but kept out of that snapshot.
+// whose counts depend on what earlier worlds in the process left in the
+// slab) are sampled like any other but kept out of that snapshot.
 #pragma once
 
 #include <cstdint>

@@ -3,10 +3,9 @@
 // initiator, PeerCache retransmits), CoDel sojourn-time shedding (NFS
 // server + kHTTPd queues) and an AIMD rate controller (VIP admission).
 //
-// All state advances on simulated nanoseconds passed in by the caller, so
-// the primitives stay deterministic under the ParallelEngine: a node's
-// controller is only ever touched from its own domain loop, and identical
-// call sequences produce identical decisions bit-for-bit.
+// All state advances on simulated nanoseconds passed in by the caller,
+// never on host time, so identical call sequences produce identical
+// decisions bit-for-bit.
 #pragma once
 
 #include <cstdint>

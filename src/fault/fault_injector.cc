@@ -45,9 +45,8 @@ void FaultInjector::partition(const Partition& p, sim::Time at,
     ++stats_.partition_cuts;
     sim::EventLoop& lp = c.loop ? *c.loop : loop_;
     sim::Link* l = c.link;
-    // The fired lambdas only flip the admin flag — in a multi-domain
-    // world they run on the owning domain's worker thread, so they must
-    // not touch injector state (stats are arm-time, above).
+    // The fired lambdas only flip the admin flag; in a multi-domain world
+    // they run in the owning domain's window (stats are arm-time, above).
     lp.schedule_at(std::max(at, lp.now()), [l] { l->set_admin_up(false); });
     if (duration > 0) {
       lp.schedule_at(std::max(at + duration, lp.now()),

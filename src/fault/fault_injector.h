@@ -50,8 +50,9 @@ struct Partition {
     sim::Link* link = nullptr;
     /// The event loop that owns the link's transmitting side. In a
     /// partitioned (multi-domain) world admin toggles must execute on
-    /// that loop — scheduling them cross-domain would race the engine's
-    /// workers. Null = the injector's own loop (single-loop worlds).
+    /// that loop, ordered with the link's own traffic — a toggle fired
+    /// from another domain would land wherever that domain's window had
+    /// got to. Null = the injector's own loop (single-loop worlds).
     sim::EventLoop* loop = nullptr;
   };
   std::string name;  ///< for logs ("rack1", "server2+server3 one-way", ...)
@@ -78,10 +79,9 @@ class FaultInjector {
   /// Cuts every link direction in `p` for [at, at+duration); duration 0
   /// cuts without healing (the plan must heal explicitly). Each toggle is
   /// scheduled on the cut's owning loop, so partitions compose with the
-  /// ParallelEngine: arming happens before the engine runs (single
-  /// threaded), and at fire time each domain flips only its own links.
-  /// Stats are counted at arm time for the same reason — worker threads
-  /// never touch the injector.
+  /// ParallelEngine: at fire time each domain flips only its own links.
+  /// Stats are counted at arm time, so the fired toggles touch nothing
+  /// but their link.
   void partition(const Partition& p, sim::Time at, sim::Duration duration);
 
   /// Gilbert–Elliott burst loss on `link` during [at, at+duration). The

@@ -8,7 +8,7 @@
 namespace ncache::netbuf {
 
 NetBuffer::NetBuffer(std::size_t headroom, std::size_t capacity)
-    : storage_(SlabCache::current().acquire(headroom + capacity)),
+    : storage_(SlabCache::process().acquire(headroom + capacity)),
       head_(headroom),
       tail_(headroom),
       cap_(headroom + capacity) {}
@@ -25,7 +25,7 @@ NetBuffer::NetBuffer(NetBuffer&& o) noexcept
 NetBuffer& NetBuffer::operator=(NetBuffer&& o) noexcept {
   if (this != &o) {
     if (pool_) pool_->release(cap_ + BufferPool::kPerBufferOverhead);
-    if (!storage_.empty()) SlabCache::current().recycle(std::move(storage_));
+    if (!storage_.empty()) SlabCache::process().recycle(std::move(storage_));
     storage_ = std::move(o.storage_);
     head_ = o.head_;
     tail_ = o.tail_;
@@ -38,7 +38,7 @@ NetBuffer& NetBuffer::operator=(NetBuffer&& o) noexcept {
 
 NetBuffer::~NetBuffer() {
   if (pool_) pool_->release(cap_ + BufferPool::kPerBufferOverhead);
-  if (!storage_.empty()) SlabCache::current().recycle(std::move(storage_));
+  if (!storage_.empty()) SlabCache::process().recycle(std::move(storage_));
 }
 
 std::byte* NetBuffer::push(std::size_t n) {
@@ -84,10 +84,9 @@ NetBufferPtr BufferPool::allocate(std::size_t capacity, std::size_t headroom) {
     ++failures_;
     return nullptr;
   }
-  // Attribute the slab outcome of this construction to this pool (a slab
-  // is touched by one thread at a time, so the delta is exactly our
-  // acquire).
-  SlabCache& slab = SlabCache::current();
+  // Attribute the slab outcome of this construction to this pool (the
+  // hit-count delta is exactly our acquire).
+  SlabCache& slab = SlabCache::process();
   std::uint64_t hits0 = slab.hits();
   auto buf = std::allocate_shared<NetBuffer>(RecyclingAllocator<NetBuffer>{},
                                              headroom, capacity);

@@ -18,16 +18,11 @@
 // depend on. Requests above the largest class fall through to exact-size
 // allocation and are not retained.
 //
-// Threading: a slab is never locked. Single-loop worlds use the process()
-// singleton; the parallel engine gives each event-loop domain its own
-// SlabCache and binds it to the executing worker thread for the duration
-// of a window (see bind()/current()), so every slab is only ever touched
-// by one thread at a time. Storage allocated in one domain and released
-// in another (a frame crossing a trunk) simply migrates between slabs.
-// When two domains drop references in the same window, which one drops
-// the last — and so receives the storage — is decided by host thread
-// timing once more than one worker runs, so hit/miss counters are
-// host-side telemetry, not simulation output (MetricRegistry::host_counter).
+// Every NetBuffer recycles through the process() slab; the simulation
+// runs on one thread, so the slab is never locked. The slab outlives the
+// worlds that use it and is warm from earlier worlds in the same process,
+// so its hit/miss counters are host-side telemetry, not simulation output
+// (MetricRegistry::host_counter).
 #pragma once
 
 #include <cstddef>
@@ -63,26 +58,10 @@ class SlabCache {
   std::uint64_t dropped() const noexcept { return dropped_; }
   std::size_t held_bytes() const noexcept { return held_bytes_; }
 
-  /// The process-wide instance every NetBuffer recycles through when no
-  /// domain slab is bound to the calling thread.
+  /// The process-wide instance every NetBuffer recycles through.
   static SlabCache& process();
 
-  /// The slab NetBuffers on this thread allocate from / recycle into:
-  /// the bound domain slab, or process() when none is bound.
-  static SlabCache& current() noexcept {
-    SlabCache* bound = bound_ref();
-    return bound ? *bound : process();
-  }
-
-  /// Binds `slab` to the calling thread (nullptr unbinds). The parallel
-  /// engine brackets each domain window with this.
-  static void bind(SlabCache* slab) noexcept { bound_ref() = slab; }
-
  private:
-  static SlabCache*& bound_ref() noexcept {
-    thread_local SlabCache* bound = nullptr;
-    return bound;
-  }
   static constexpr int kNumClasses = 13;  // 2^8 .. 2^20
 
   /// Smallest class index whose size is >= bytes; kNumClasses if none.
@@ -98,11 +77,10 @@ class SlabCache {
 /// Minimal std allocator over a per-type free list; sizeof(T) must be at
 /// least a pointer. std::allocate_shared uses it to recycle shared_ptr
 /// control blocks the same way SlabCache recycles buffer storage. The
-/// list is thread-local (parallel-engine workers each recycle their own
-/// blocks; a block freed on another thread just migrates lists), holds at
-/// most the type's high-water live count per thread, and is freed when
-/// the thread exits — blocks deallocated during thread teardown, after
-/// the list's own destructor has run, go straight back to the heap.
+/// list is process-wide and unlocked like the slab, holds at most the
+/// type's high-water live count, and is freed at exit — blocks
+/// deallocated after the list's own destructor has run go straight back
+/// to the heap.
 template <typename T>
 struct RecyclingAllocator {
   using value_type = T;
@@ -142,11 +120,9 @@ struct RecyclingAllocator {
   }
 
  private:
-  // Destructor frees the held blocks so a worker thread's list does not
-  // outlive the thread as unreachable memory; `alive` guards against
-  // re-population during thread teardown (destruction order of
-  // thread_locals is unspecified, and a shared_ptr released by another
-  // thread_local's destructor may deallocate through here afterwards).
+  // Destructor frees the held blocks at exit; `alive` guards against
+  // re-population afterwards (a shared_ptr released by a static destroyed
+  // later may deallocate through here).
   struct FreeList {
     void* head = nullptr;
     bool alive = true;
@@ -161,7 +137,7 @@ struct RecyclingAllocator {
   };
 
   static FreeList& free_list() noexcept {
-    thread_local FreeList list;
+    static FreeList list;
     return list;
   }
 };

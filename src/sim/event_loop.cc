@@ -1,15 +1,13 @@
 #include "sim/event_loop.h"
 
-#include <atomic>
-
 namespace ncache::sim {
 
 namespace {
-std::atomic<std::uint64_t> g_process_dispatched{0};
+std::uint64_t g_process_dispatched = 0;
 }  // namespace
 
 std::uint64_t EventLoop::process_dispatched() noexcept {
-  return g_process_dispatched.load(std::memory_order_relaxed);
+  return g_process_dispatched;
 }
 
 bool EventLoop::step() {
@@ -21,7 +19,7 @@ bool EventLoop::step() {
   if (!n) return false;
   now_ = n->e.at;
   ++dispatched_;
-  g_process_dispatched.fetch_add(1, std::memory_order_relaxed);
+  ++g_process_dispatched;
   if (n->e.fn) n->e.fn();  // null fn = pure time marker
   wheel_.recycle(n);
   return true;

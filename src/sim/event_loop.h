@@ -97,8 +97,7 @@ class EventLoop {
   void reserve_pending(std::size_t events) { wheel_.reserve(events); }
 
   /// Events dispatched by every loop in this process (wall-clock telemetry:
-  /// the BENCH_*.json "wall" block divides by elapsed real time). Relaxed
-  /// atomic: the parallel engine dispatches from several worker threads.
+  /// the BENCH_*.json "wall" block divides by elapsed real time).
   static std::uint64_t process_dispatched() noexcept;
 
   /// Registry for detached root coroutines driven by this loop. Declared

@@ -1,26 +1,9 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 namespace ncache::sim {
-
-ParallelEngine::ParallelEngine(unsigned threads)
-    : threads_(threads == 0 ? 1 : threads) {
-  for (unsigned t = 1; t < threads_; ++t) {
-    workers_.emplace_back([this] { worker_main(); });
-  }
-}
-
-ParallelEngine::~ParallelEngine() {
-  {
-    std::lock_guard<std::mutex> lock(m_);
-    shutdown_ = true;
-  }
-  cv_work_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
 
 unsigned ParallelEngine::add_domain(EventLoop& loop, std::string name) {
   if (running_) {
@@ -47,17 +30,6 @@ Time ParallelEngine::next_floor() {
   return floor;
 }
 
-void ParallelEngine::run_domain(unsigned d, Time limit) {
-  Domain& dom = *domains_[d];
-  if (enter_) enter_(d);
-  try {
-    dom.processed = dom.loop->run_before(limit);
-  } catch (...) {
-    dom.error = std::current_exception();
-  }
-  if (exit_) exit_(d);
-}
-
 void ParallelEngine::merge_outboxes() {
   struct Item {
     Time at;
@@ -76,8 +48,8 @@ void ParallelEngine::merge_outboxes() {
     }
     // Total order over the inbox: arrival time, then source domain, then
     // send order within the source. This is a pure function of what the
-    // domains staged, so the destination loop's (time, seq) stream is the
-    // same for every worker-thread count.
+    // domains staged, so the destination loop's (time, seq) stream does
+    // not depend on the order the windows ran in.
     std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
       if (a.at != b.at) return a.at < b.at;
       if (a.src != b.src) return a.src < b.src;
@@ -91,82 +63,11 @@ void ParallelEngine::merge_outboxes() {
 }
 
 std::size_t ParallelEngine::round(Time limit) {
-  const unsigned n = domain_count();
-  // Pre-scan for domains that actually have work below the horizon. In a
-  // sparse stretch (e.g. a long simulated idle tail) most windows hold
-  // events in exactly one domain; running it inline skips the worker-pool
-  // handshake — two context switches per round that would otherwise
-  // dominate the wall clock. The scan itself is a wheel peek per domain,
-  // the same operation next_floor() just did.
-  unsigned busy = 0;
-  unsigned only = 0;
-  for (unsigned d = 0; d < n; ++d) {
-    if (domains_[d]->loop->next_event_time() < limit) {
-      ++busy;
-      only = d;
-    }
-  }
-  const unsigned executors = std::min(threads_, busy ? busy : 1u);
-  if (executors <= 1) {
-    if (busy <= 1) {
-      if (busy) run_domain(only, limit);
-    } else {
-      for (unsigned d = 0; d < n; ++d) run_domain(d, limit);
-    }
-  } else {
-    {
-      std::lock_guard<std::mutex> lock(m_);
-      round_limit_ = limit;
-      next_domain_.store(0, std::memory_order_relaxed);
-      workers_busy_ = unsigned(workers_.size());
-      ++generation_;
-    }
-    cv_work_.notify_all();
-    // The caller is an executor too.
-    for (unsigned d; (d = next_domain_.fetch_add(1)) < n;) {
-      run_domain(d, limit);
-    }
-    std::unique_lock<std::mutex> lock(m_);
-    cv_done_.wait(lock, [this] { return workers_busy_ == 0; });
-  }
-
-  // First error wins, lowest domain id first so reporting is
-  // deterministic. Outboxes are still merged: schedules already staged
-  // stay consistent if the caller catches and resumes.
+  std::size_t total = 0;
+  for (auto& d : domains_) total += d->loop->run_before(limit);
   merge_outboxes();
   ++rounds_;
-  std::size_t total = 0;
-  std::exception_ptr error;
-  for (auto& d : domains_) {
-    total += d->processed;
-    d->processed = 0;
-    if (d->error && !error) error = d->error;
-    d->error = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
   return total;
-}
-
-void ParallelEngine::worker_main() {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(m_);
-      cv_work_.wait(lock,
-                    [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) return;
-      seen = generation_;
-    }
-    const unsigned n = domain_count();
-    for (unsigned d; (d = next_domain_.fetch_add(1)) < n;) {
-      run_domain(d, round_limit_);
-    }
-    {
-      std::lock_guard<std::mutex> lock(m_);
-      --workers_busy_;
-    }
-    cv_done_.notify_one();
-  }
 }
 
 std::size_t ParallelEngine::run(const std::function<bool()>& stop) {

@@ -1,4 +1,4 @@
-// ParallelEngine — conservative-window parallel driver for a partitioned
+// ParallelEngine — conservative-window executor for a partitioned
 // simulation.
 //
 // The world is split into *domains*, each owning one EventLoop (the topo
@@ -12,27 +12,24 @@
 //      `horizon`, so every domain may run all events strictly below it
 //      without further coordination (classic YAWNS-style conservative
 //      synchronization).
-//   3. Each domain runs its window — on a worker thread when the engine
-//      has them, inline otherwise. Cross-domain deliveries produced during
-//      the window (trunk Link directions carry a remote hook that calls
-//      post()) are staged in per-(src,dst) outboxes, not delivered.
+//   3. Each domain runs its window on the calling thread, in domain-id
+//      order. Cross-domain deliveries produced during the window (trunk
+//      Link directions carry a remote hook that calls post()) are staged
+//      in per-(src,dst) outboxes, not delivered.
 //   4. Barrier: the staged deliveries are merged into their destination
 //      loops in (time, src_domain, send_seq) order.
 //
 // Determinism: a domain's window execution depends only on its own loop
-// contents, so its event stream — and the outbox it stages — is the same
-// regardless of which thread runs it or how many workers exist. The merge
-// order is a pure function of the staged messages. A T-thread run is
-// therefore byte-identical to the T=1 run.
+// contents, and the merge order is a pure function of the staged
+// messages, so a partitioned world's schedule is fixed by its seed. The
+// windows of a round are independent of one another, but they are not
+// spread over threads: a round holds tens of microseconds of work, too
+// little to pay for a cross-thread handshake (DESIGN.md §11).
 #pragma once
 
-#include <condition_variable>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/event_loop.h"
@@ -41,10 +38,7 @@ namespace ncache::sim {
 
 class ParallelEngine {
  public:
-  /// `threads` is the worker count the *windows* are spread over; 1 means
-  /// everything runs inline on the calling thread (no threads spawned).
-  explicit ParallelEngine(unsigned threads = 1);
-  ~ParallelEngine();
+  ParallelEngine() = default;
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
@@ -61,22 +55,10 @@ class ParallelEngine {
   /// cross-domain link. Must be > 0 when more than one domain exists.
   void set_lookahead(Duration ns) noexcept { lookahead_ = ns; }
   Duration lookahead() const noexcept { return lookahead_; }
-  unsigned threads() const noexcept { return threads_; }
-
-  /// Per-window bracketing, called on the thread about to run (enter) /
-  /// done running (exit) a domain's window. The topo layer binds each
-  /// domain's SlabCache here so buffer recycling stays per-domain (and
-  /// its counters thread-count-independent).
-  using ScopeHook = std::function<void(unsigned domain)>;
-  void set_scope_hooks(ScopeHook enter, ScopeHook exit) {
-    enter_ = std::move(enter);
-    exit_ = std::move(exit);
-  }
 
   /// Stages a delivery into `dst` at absolute time `at`. May only be
-  /// called from code executing inside domain `src`'s window (that is the
-  /// single-writer guarantee for the outbox). Trunk links call this via
-  /// their remote hook.
+  /// called from code executing inside domain `src`'s window. Trunk links
+  /// call this via their remote hook.
   void post(unsigned src, unsigned dst, Time at, InlineCallback fn);
 
   /// Convenience: a remote hook for a link whose transmit side runs in
@@ -89,7 +71,8 @@ class ParallelEngine {
   }
 
   /// Runs rounds until every domain is idle (or `stop` returns true at a
-  /// round boundary). Returns events processed.
+  /// round boundary). Returns events processed. An exception thrown by
+  /// an event propagates out of the round that ran it.
   std::size_t run(const std::function<bool()>& stop = {});
 
   /// Runs every event with time <= deadline, then aligns all domain
@@ -113,33 +96,16 @@ class ParallelEngine {
     std::string name;
     std::vector<std::vector<Msg>> outbox;  ///< staged sends, per dst
     std::uint64_t out_seq = 0;
-    std::size_t processed = 0;             ///< events run this round
-    std::exception_ptr error;              ///< thrown during this round
   };
 
   Time next_floor();
   std::size_t round(Time limit);
-  void run_domain(unsigned d, Time limit);
   void merge_outboxes();
-  void worker_main();
 
   std::vector<std::unique_ptr<Domain>> domains_;
   Duration lookahead_ = 0;
-  ScopeHook enter_, exit_;
   std::uint64_t rounds_ = 0;
   bool running_ = false;
-
-  // Worker pool (threads_ - 1 spawned threads; the caller participates).
-  unsigned threads_;
-  std::vector<std::thread> workers_;
-  std::mutex m_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t generation_ = 0;  ///< bumped per round (guarded by m_)
-  Time round_limit_ = 0;
-  std::atomic<unsigned> next_domain_{0};
-  unsigned workers_busy_ = 0;  ///< workers still claiming (guarded by m_)
-  bool shutdown_ = false;
 };
 
 }  // namespace ncache::sim

@@ -29,12 +29,10 @@ World::World(Topology topo, WorldConfig config)
 }
 
 void World::build_domains() {
-  engine_ = std::make_unique<sim::ParallelEngine>(
-      config_.threads == 0 ? 1 : config_.threads);
+  engine_ = std::make_unique<sim::ParallelEngine>();
   for (const NodeSpec& n : topo_.nodes) {
     if (n.kind != NodeKind::Switch) continue;
     domain_loops_.push_back(std::make_unique<sim::EventLoop>());
-    domain_slabs_.push_back(std::make_unique<netbuf::SlabCache>());
     switch_domain_.emplace(
         n.id, engine_->add_domain(*domain_loops_.back(), n.id));
   }
@@ -69,12 +67,6 @@ void World::build_domains() {
     first_trunk = false;
   }
   engine_->set_lookahead(lookahead);
-  // Each domain recycles buffers through its own slab while its window
-  // runs — keeps the slabs single-threaded and their counters independent
-  // of the worker-thread count.
-  engine_->set_scope_hooks(
-      [this](unsigned d) { netbuf::SlabCache::bind(domain_slabs_[d].get()); },
-      [](unsigned) { netbuf::SlabCache::bind(nullptr); });
 }
 
 unsigned World::domain_of(std::string_view node_id) const {
@@ -386,9 +378,6 @@ void World::build_roles() {
     }
     cluster::LoadBalancer::Config lc;
     lc.routing = config_.routing;
-    lc.heartbeat_interval = config_.heartbeat_interval;
-    lc.heartbeat_miss_limit = config_.heartbeat_miss_limit;
-    lc.readmit_quiet_rounds = config_.readmit_quiet_rounds;
     lc.admission.enabled = config_.overload.admission;
     lc.admission.aimd = config_.overload.aimd;
     lc.admission.qdepth_high = config_.overload.admission_qdepth_high;
@@ -432,7 +421,6 @@ void World::build_roles() {
       pc.target_id = 0;
       pc.mode = config_.mode;
       pc.enabled = config_.peering;
-      pc.push_on_miss = config_.push_on_miss;
       s.peers = std::make_unique<cluster::PeerCache>(s.node->stack, pc,
                                                      peer_list);
       s.block_client = std::make_unique<cluster::PeerBlockClient>(
@@ -471,24 +459,12 @@ void World::register_all_metrics() {
     for (auto& l : domain_loops_) total += l->clamped_events();
     return total;
   });
-  // Partitioned worlds recycle through per-domain slabs. These are
-  // host-side counters: a buffer referenced from two domains returns to
-  // the slab of whichever domain drops its last reference, and with more
-  // than one worker thread that order is a host race, so the sums vary
-  // between runs. (The process slab is also warm from earlier worlds in
-  // the same process.)
-  metrics_.host_counter("sim", "netbuf.slab_hits", [this] {
-    if (!engine_) return netbuf::SlabCache::process().hits();
-    std::uint64_t total = 0;
-    for (auto& s : domain_slabs_) total += s->hits();
-    return total;
-  });
-  metrics_.host_counter("sim", "netbuf.slab_misses", [this] {
-    if (!engine_) return netbuf::SlabCache::process().misses();
-    std::uint64_t total = 0;
-    for (auto& s : domain_slabs_) total += s->misses();
-    return total;
-  });
+  // Host-side counters: the process slab is warm from earlier worlds in
+  // the same process, so its counts are not this world's alone.
+  metrics_.host_counter("sim", "netbuf.slab_hits",
+                        [] { return netbuf::SlabCache::process().hits(); });
+  metrics_.host_counter("sim", "netbuf.slab_misses",
+                        [] { return netbuf::SlabCache::process().misses(); });
 
   std::size_t server_i = 0;
   for (Host* h : host_order_) {
@@ -538,9 +514,9 @@ Task<void> World::bring_up_server(int i) {
   co_await s.fs->mount();
 }
 
-Task<void> World::bring_up_counted(int i, std::atomic<int>* remaining) {
+Task<void> World::bring_up_counted(int i, int* remaining) {
   co_await bring_up_server(i);
-  remaining->fetch_sub(1, std::memory_order_relaxed);
+  --*remaining;
 }
 
 void World::start_base() {
@@ -556,14 +532,13 @@ void World::start_base() {
   }
   // Partitioned: every server logs in concurrently, the engine drives the
   // cross-domain iSCSI traffic until all mounts land.
-  std::atomic<int> remaining{server_count()};
+  int remaining = server_count();
   for (int i = 0; i < server_count(); ++i) {
     bring_up_counted(i, &remaining)
         .detach(host(servers_[std::size_t(i)]->id).loop->reaper());
   }
-  engine_->run(
-      [&] { return remaining.load(std::memory_order_relaxed) == 0; });
-  if (remaining.load(std::memory_order_relaxed) != 0) {
+  engine_->run([&] { return remaining == 0; });
+  if (remaining != 0) {
     throw std::runtime_error("World: partitioned bring-up stalled");
   }
 }

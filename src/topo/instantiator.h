@@ -36,7 +36,6 @@
 // discipline.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -58,7 +57,6 @@
 #include "iscsi/target.h"
 #include "nfs/client.h"
 #include "nfs/server.h"
-#include "netbuf/slab_cache.h"
 #include "proto/switch.h"
 #include "sim/parallel.h"
 #include "topo/node.h"
@@ -77,11 +75,14 @@ struct WorldConfig {
   // pass-through server (byte-identical to the historical model).
   unsigned server_cores = 1;
 
-  // Parallel simulation: partition the world into one event-loop domain
-  // per switch (per rack) and drive it with `threads` workers through
-  // engine().run()/run_until(). Requires every host's NICs to cable into
-  // a single switch. false = classic single-loop world driven via loop().
+  // Partitioned simulation: one event-loop domain per switch (per rack),
+  // driven through engine().run()/run_until(). Requires every host's NICs
+  // to cable into a single switch. false = classic single-loop world
+  // driven via loop().
   bool partitioned = false;
+  /// Read by nothing: the engine runs every domain on the calling thread.
+  /// Its only writer is perfbench/driver/workloads.cc:433; the field goes
+  /// when that line does.
   unsigned threads = 1;
 
   // Cooperative NCache peering between servers of a balancer-less
@@ -107,11 +108,7 @@ struct WorldConfig {
 
   // Cluster knobs — consulted only when the topology has a balancer.
   bool peering = true;  ///< cooperative cache (forced off in Baseline)
-  bool push_on_miss = true;
   cluster::Routing routing = cluster::Routing::FlowHash;
-  sim::Duration heartbeat_interval = 25 * sim::kMillisecond;
-  int heartbeat_miss_limit = 3;
-  int readmit_quiet_rounds = 2;  ///< flap damping (see LoadBalancer::Config)
 
   /// Seeds the world's FaultInjector and the loss hooks of lossy edges.
   std::uint64_t fault_seed = 1;
@@ -297,7 +294,7 @@ class World {
   Host& host(std::string_view id);
   sim::EventLoop& loop_of(const NodeSpec& n);
   Task<void> bring_up_server(int i);
-  Task<void> bring_up_counted(int i, std::atomic<int>* remaining);
+  Task<void> bring_up_counted(int i, int* remaining);
   Task<void> restart_task(int i);
   Task<void> write_coherence_task(int i, std::uint64_t fh,
                                   std::uint64_t offset, std::uint32_t count);
@@ -305,11 +302,9 @@ class World {
   Topology topo_;
   WorldConfig config_;
   sim::EventLoop loop_;
-  /// Partitioned worlds: one loop + one buffer slab per switch domain
-  /// (declaration order), and the engine that drives them. The engine is
-  /// declared after the loops so its worker pool is gone before they are.
+  /// Partitioned worlds: one loop per switch domain (declaration order),
+  /// and the engine that drives them.
   std::vector<std::unique_ptr<sim::EventLoop>> domain_loops_;
-  std::vector<std::unique_ptr<netbuf::SlabCache>> domain_slabs_;
   std::unique_ptr<sim::ParallelEngine> engine_;
   std::unordered_map<std::string, unsigned> switch_domain_;
   std::shared_ptr<proto::AddressBook> book_;

@@ -23,8 +23,8 @@ Topology cluster(int server_count = 2, int client_count = 2);
 /// `clients_per_rack` clients, all trunked to a core switch that holds
 /// the storage target. No balancer: each client mounts its rack-local
 /// server directly and the servers peer cooperatively. One event-loop
-/// domain per switch, so this is the shape the parallel engine scales
-/// on (set WorldConfig::partitioned/threads). `server_cores` > 1 marks
+/// domain per switch, so this is the shape the partitioned engine runs
+/// (set WorldConfig::partitioned). `server_cores` > 1 marks
 /// every server SMP (cores= attribute). Node ids: core0, storage0,
 /// rack0.., server0.., client0.. (clients numbered across racks).
 Topology cluster_racks(int rack_count = 2, int clients_per_rack = 2,

@@ -34,9 +34,9 @@ struct Counters {
   }
 };
 
-/// Cooperative stop flag shared between a driver and its workers.
-/// Atomic because a partitioned world's workers poll it from different
-/// domain threads (single-loop worlds pay nothing they'd notice).
+/// Cooperative stop flag shared between a measurement loop and its
+/// workers. The simulation runs on one thread; the fields stay
+/// std::atomic because perfbench's harness calls live_workers.load().
 struct StopFlag {
   std::atomic<bool> stopped = false;
   std::atomic<int> live_workers = 0;

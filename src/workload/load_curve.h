@@ -18,7 +18,7 @@
 namespace ncache::workload {
 
 /// Pure function of simulated time: every worker sampling the same curve
-/// at the same sim time sees the same rate, on any engine thread count.
+/// at the same sim time sees the same rate.
 class LoadCurve {
  public:
   struct Spike {

