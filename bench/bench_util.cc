@@ -6,6 +6,7 @@
 #include <string_view>
 #include <thread>
 
+#include "bench/heap_counter.h"
 #include "netbuf/slab_cache.h"
 #include "sim/event_loop.h"
 
@@ -34,7 +35,8 @@ BenchReport::BenchReport(const BenchOptions& opts, std::string name,
     : name_(std::move(name)),
       out_dir_(opts.out_dir),
       wall_start_(std::chrono::steady_clock::now()),
-      dispatched_start_(sim::EventLoop::process_dispatched()) {
+      dispatched_start_(sim::EventLoop::process_dispatched()),
+      allocs_start_(heap_allocs()) {
   root_ = json::Value::object();
   root_.set("bench", name_);
   root_.set("expectation", std::move(expectation));
@@ -59,6 +61,7 @@ bool BenchReport::write() {
           .count();
   std::uint64_t events =
       sim::EventLoop::process_dispatched() - dispatched_start_;
+  std::uint64_t allocs = heap_allocs() - allocs_start_;
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   const netbuf::SlabCache& slab = netbuf::SlabCache::process();
@@ -70,6 +73,9 @@ bool BenchReport::write() {
   wall.set("nproc", std::uint64_t(std::thread::hardware_concurrency()));
   wall.set("slab_hits", slab.hits());
   wall.set("slab_misses", slab.misses());
+  wall.set("heap_allocs", allocs);
+  wall.set("allocs_per_event", events > 0 ? double(allocs) / double(events)
+                                          : 0.0);
   root_.set("wall", std::move(wall));
 
   std::string path = out_dir_ + "/BENCH_" + name_ + ".json";

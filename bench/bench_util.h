@@ -112,7 +112,9 @@ struct BenchOptions {
 /// time between BenchReport construction and write(), the simulator
 /// events dispatched per wall-clock second — the perf trajectory every
 /// bench contributes to (tools/perf_compare.py diffs these) — peak RSS,
-/// the host's CPU count, and the process slab's hit/miss counts. Each
+/// the host's CPU count, the process slab's hit/miss counts, and the heap
+/// allocations made over the same span (heap_allocs, allocs_per_event;
+/// bench/heap_counter.h). Each
 /// row's measured block carries its own "wall" with the registry's
 /// host-side counters (MetricRegistry::host_counter).
 class BenchReport {
@@ -134,6 +136,7 @@ class BenchReport {
   json::Value root_;
   std::chrono::steady_clock::time_point wall_start_;
   std::uint64_t dispatched_start_ = 0;
+  std::uint64_t allocs_start_ = 0;
 };
 
 /// The standard measured block every bench row embeds: throughput,

@@ -5,10 +5,22 @@
 // and *real* heap traffic: every byte of simulated output in the paper's
 // figures is produced by pumping millions of events and netbufs through
 // these two paths, so their per-op cost bounds how fast any experiment can
-// run. The binary counts heap allocations by overriding the global
+// run. bench/heap_counter.h counts heap allocations by replacing the global
 // operator new/delete, which makes "allocs per op" an exact, deterministic
 // measure (same-seed runs emit byte-identical rows; only the "wall"
 // sub-blocks vary run to run and are stripped by smoke_bench.sh).
+//
+// Each row's measured phase runs from the same cold state (fresh loop,
+// fresh pool, drained slab) at least kMinRuns times and until kMinTotalMs
+// of measured time has passed, and its wall block reports the fastest
+// run. On a shared host the same code runs up to ~40 % slower for
+// stretches of a few hundred milliseconds (in CPU time as much as in
+// wall time), so a single short sample — the smoke parallel_engine phase
+// lasts ~25 ms — can read as a regression; the best over a second of
+// samples does not, which keeps tools/perf_smoke.sh's same-binary
+// comparison meaningful at its tolerance. The deterministic fields
+// (events, allocs) must come out identical in every run, or the bench
+// fails.
 //
 // Workload shapes:
 //   * event_loop — 16384 self-rescheduling tickers whose delays mix near
@@ -31,48 +43,34 @@
 // The steady-state phase re-runs the event workload after warm-up and
 // reports its absolute allocation count ("steady_allocs"): the slab/SBO
 // acceptance bar is that this is exactly zero.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/heap_counter.h"
 #include "netbuf/net_buffer.h"
+#include "netbuf/slab_cache.h"
 #include "sim/event_loop.h"
 #include "sim/parallel.h"
-
-// ---- global allocation counter ----------------------------------------------
-// Overriding the replaceable global allocation functions in any TU rewires
-// the whole binary.
-namespace {
-std::uint64_t g_heap_allocs = 0;
-}  // namespace
-
-void* operator new(std::size_t n) {
-  ++g_heap_allocs;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t n, std::align_val_t al) {
-  ++g_heap_allocs;
-  std::size_t a = std::size_t(al);
-  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace ncache::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Each measured phase runs at least kMinRuns times and for at least
+/// kMinTotalMs in total; the wall blocks report the fastest run.
+constexpr int kMinRuns = 3;
+constexpr double kMinTotalMs = 1000;
+
+/// Whether run `rep` is needed after `total_ms` of measured time.
+bool another_run(int rep, double total_ms) {
+  return rep < kMinRuns || total_ms < kMinTotalMs;
+}
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
@@ -145,13 +143,13 @@ EventPhase run_event_phase(sim::EventLoop& loop, std::vector<Ticker>& tickers,
     tickers[i].remaining = events_per_ticker;
   }
   std::uint64_t before = loop.dispatched();
-  std::uint64_t allocs0 = g_heap_allocs;
+  std::uint64_t allocs0 = heap_allocs();
   auto t0 = Clock::now();
   for (auto& t : tickers) arm(&t);
   loop.run();
   EventPhase p;
   p.wall_ms = ms_since(t0);
-  p.allocs = g_heap_allocs - allocs0;
+  p.allocs = heap_allocs() - allocs0;
   p.events = loop.dispatched() - before;
   return p;
 }
@@ -173,7 +171,7 @@ BufferPhase run_buffer_phase(netbuf::BufferPool& pool, std::uint64_t cycles,
   for (auto& slot : ring) {
     slot = pool.allocate(kSizes[next_rng(rng) % 5]);
   }
-  std::uint64_t allocs0 = g_heap_allocs;
+  std::uint64_t allocs0 = heap_allocs();
   auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < cycles; ++i) {
     std::uint64_t r = next_rng(rng);
@@ -185,7 +183,7 @@ BufferPhase run_buffer_phase(netbuf::BufferPool& pool, std::uint64_t cycles,
   }
   BufferPhase p;
   p.wall_ms = ms_since(t0);
-  p.allocs = g_heap_allocs - allocs0;
+  p.allocs = heap_allocs() - allocs0;
   p.cycles = cycles;
   ring.clear();
   return p;
@@ -265,6 +263,18 @@ ParallelPhase run_parallel_phase(unsigned domains,
   return p;
 }
 
+/// Checks run `rep` of a row against its first run: the deterministic
+/// fields must agree, else the timing compares different work.
+bool same_as_first(const char* row, int rep, bool same) {
+  if (!same) {
+    std::fprintf(stderr,
+                 "perf_core: %s run %d disagrees with run 0 on its "
+                 "deterministic fields\n",
+                 row, rep);
+  }
+  return same;
+}
+
 int run(int argc, char** argv) {
   BenchOptions opts = BenchOptions::parse(argc, argv);
   quiet_logs();
@@ -282,17 +292,33 @@ int run(int argc, char** argv) {
   print_header("perf_core — event core & buffer core hot-path cost",
                "wall-clock microbenchmark; simulated output unaffected");
 
-  sim::EventLoop loop;
-  std::vector<Ticker> tickers(kTickers);
-
-  // Pre-grow the wheel's node pool past the 16K-event pending set, so
-  // the measured phases exercise pure steady state.
-  loop.reserve_pending(24'576);
-  (void)run_event_phase(loop, tickers, kWarmPerTicker, 0x5eed);
-  EventPhase main_phase =
-      run_event_phase(loop, tickers, kMainPerTicker, 0xabcd);
-  EventPhase steady_phase =
-      run_event_phase(loop, tickers, kSteadyPerTicker, 0xfeed);
+  bool consistent = true;
+  EventPhase main_phase;
+  EventPhase steady_phase;
+  double total_ms = 0;
+  for (int rep = 0; another_run(rep, total_ms); ++rep) {
+    sim::EventLoop loop;
+    std::vector<Ticker> tickers(kTickers);
+    // Pre-grow the wheel's node pool past the 16K-event pending set, so
+    // the measured phases exercise pure steady state.
+    loop.reserve_pending(24'576);
+    (void)run_event_phase(loop, tickers, kWarmPerTicker, 0x5eed);
+    EventPhase main = run_event_phase(loop, tickers, kMainPerTicker, 0xabcd);
+    EventPhase steady =
+        run_event_phase(loop, tickers, kSteadyPerTicker, 0xfeed);
+    total_ms += main.wall_ms;
+    if (rep == 0) {
+      main_phase = main;
+      steady_phase = steady;
+      continue;
+    }
+    consistent &= same_as_first(
+        "event_loop", rep,
+        main.events == main_phase.events && main.allocs == main_phase.allocs &&
+            steady.events == steady_phase.events &&
+            steady.allocs == steady_phase.allocs);
+    main_phase.wall_ms = std::min(main_phase.wall_ms, main.wall_ms);
+  }
 
   double ev_per_sec = main_phase.wall_ms > 0
                           ? double(main_phase.events) /
@@ -321,9 +347,30 @@ int run(int argc, char** argv) {
     report.add_row(std::move(row));
   }
 
-  netbuf::BufferPool pool("perf", 256u << 20);
-  (void)run_buffer_phase(pool, kBufferCycles / 10, 0x0b0f);  // warm slabs
-  BufferPhase bufs = run_buffer_phase(pool, kBufferCycles, 0xb0b5);
+  BufferPhase bufs;
+  std::uint64_t pool_allocations = 0;
+  std::uint64_t pool_failures = 0;
+  total_ms = 0;
+  for (int rep = 0; another_run(rep, total_ms); ++rep) {
+    // Every run starts from a cold slab, so each one sees the same
+    // misses while the free lists fill.
+    netbuf::SlabCache::process().drain();
+    netbuf::BufferPool pool("perf", 256u << 20);
+    (void)run_buffer_phase(pool, kBufferCycles / 10, 0x0b0f);  // warm slabs
+    BufferPhase b = run_buffer_phase(pool, kBufferCycles, 0xb0b5);
+    total_ms += b.wall_ms;
+    if (rep == 0) {
+      bufs = b;
+      pool_allocations = pool.allocations();
+      pool_failures = pool.failures();
+      continue;
+    }
+    consistent &= same_as_first(
+        "buffer_pool", rep,
+        b.allocs == bufs.allocs && pool.allocations() == pool_allocations &&
+            pool.failures() == pool_failures);
+    bufs.wall_ms = std::min(bufs.wall_ms, b.wall_ms);
+  }
 
   double bufs_per_sec =
       bufs.wall_ms > 0 ? double(bufs.cycles) / (bufs.wall_ms / 1e3) : 0.0;
@@ -338,8 +385,8 @@ int run(int argc, char** argv) {
     row.set("n_cycles", bufs.cycles);
     row.set("allocs", bufs.allocs);
     row.set("allocs_per_op", double(bufs.allocs) / double(bufs.cycles));
-    row.set("pool_allocations", pool.allocations());
-    row.set("pool_failures", pool.failures());
+    row.set("pool_allocations", pool_allocations);
+    row.set("pool_failures", pool_failures);
     auto wall = json::Value::object();
     wall.set("wall_ms", bufs.wall_ms);
     wall.set("buffers_per_sec", bufs_per_sec);
@@ -352,8 +399,21 @@ int run(int argc, char** argv) {
   const std::uint64_t kParTickers = opts.smoke ? 2'048 : 4'096;
   const std::uint64_t kParPerTicker = opts.smoke ? 40 : 300;
   {
-    ParallelPhase p =
-        run_parallel_phase(kDomains, kParTickers, kParPerTicker, 0x9a11);
+    ParallelPhase p;
+    total_ms = 0;
+    for (int rep = 0; another_run(rep, total_ms); ++rep) {
+      ParallelPhase r =
+          run_parallel_phase(kDomains, kParTickers, kParPerTicker, 0x9a11);
+      total_ms += r.wall_ms;
+      if (rep == 0) {
+        p = r;
+        continue;
+      }
+      consistent &=
+          same_as_first("parallel_engine", rep, r.events == p.events);
+      p.wall_ms = std::min(p.wall_ms, r.wall_ms);
+    }
+    if (!consistent) return 1;
     double per_sec =
         p.wall_ms > 0 ? double(p.events) / (p.wall_ms / 1e3) : 0.0;
     std::printf("parallel_engine: %llu events, %.1f ms, %.0f events/sec\n",

@@ -299,7 +299,7 @@ void PeerCache::apply_membership(std::uint32_t epoch,
       if (moved >= config_.max_transfer_blocks) break;
       std::uint32_t owner = owner_of(key.lbn);
       if (owner == config_.self_id) continue;
-      auto chain = ncache_->cache().lookup(netbuf::CacheKey{key});
+      const MsgBuffer* chain = ncache_->cache().lookup(netbuf::CacheKey{key});
       if (!chain) continue;
       std::vector<std::byte> head;
       ByteWriter w(head);
@@ -404,9 +404,9 @@ bool PeerCache::drop_local(std::uint64_t lbn) {
 std::optional<MsgBuffer> PeerCache::local_block(std::uint64_t lbn) {
   if (ncache_ &&
       ncache_->cache().contains_lbn(lbn, config_.target_id)) {
-    auto hit = ncache_->cache().lookup(
+    const MsgBuffer* hit = ncache_->cache().lookup(
         netbuf::CacheKey{netbuf::LbnKey{config_.target_id, lbn}});
-    if (hit && hit->size() == fs::kBlockSize) return hit;
+    if (hit && hit->size() == fs::kBlockSize) return *hit;
   }
   if (fs_) {
     auto blk = fs_->cache().peek(lbn);

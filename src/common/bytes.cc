@@ -4,29 +4,44 @@
 
 namespace ncache {
 
-void ByteWriter::u8(std::uint8_t v) { out_.push_back(std::byte{v}); }
+std::byte* ByteWriter::grab(std::size_t n) {
+  if (vec_) {
+    std::size_t at = vec_->size();
+    vec_->resize(at + n);
+    return vec_->data() + at;
+  }
+  if (n > fixed_.size() - pos_) {
+    throw std::length_error("ByteWriter: fixed buffer overflow");
+  }
+  std::byte* p = fixed_.data() + pos_;
+  pos_ += n;
+  return p;
+}
+
+void ByteWriter::u8(std::uint8_t v) { *grab(1) = std::byte{v}; }
 
 void ByteWriter::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v >> 8));
-  u8(static_cast<std::uint8_t>(v));
+  std::byte* p = grab(2);
+  p[0] = std::byte(v >> 8);
+  p[1] = std::byte(v);
 }
 
 void ByteWriter::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v >> 16));
-  u16(static_cast<std::uint16_t>(v));
+  std::byte* p = grab(4);
+  for (int i = 0; i < 4; ++i) p[i] = std::byte(v >> (24 - 8 * i));
 }
 
 void ByteWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v >> 32));
-  u32(static_cast<std::uint32_t>(v));
+  std::byte* p = grab(8);
+  for (int i = 0; i < 8; ++i) p[i] = std::byte(v >> (56 - 8 * i));
 }
 
 void ByteWriter::bytes(std::span<const std::byte> data) {
-  out_.insert(out_.end(), data.begin(), data.end());
+  if (!data.empty()) std::memcpy(grab(data.size()), data.data(), data.size());
 }
 
 void ByteWriter::zeros(std::size_t n) {
-  out_.insert(out_.end(), n, std::byte{0});
+  if (n > 0) std::memset(grab(n), 0, n);
 }
 
 void ByteWriter::xdr_opaque(std::string_view s) {

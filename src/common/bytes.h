@@ -12,10 +12,14 @@
 
 namespace ncache {
 
-/// Appends network-order fields to a byte vector.
+/// Appends network-order fields to a byte vector, or fills caller-owned
+/// storage of a known size (a stack array for a checksummed header, an
+/// exact-size buffer for an XDR message) without touching the heap.
 class ByteWriter {
  public:
-  explicit ByteWriter(std::vector<std::byte>& out) : out_(out) {}
+  explicit ByteWriter(std::vector<std::byte>& out) : vec_(&out) {}
+  /// Fixed storage: writing past its end throws std::length_error.
+  explicit ByteWriter(std::span<std::byte> out) : fixed_(out) {}
 
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
@@ -26,10 +30,15 @@ class ByteWriter {
   /// XDR-style: 4-byte length, payload, zero padding to 4-byte multiple.
   void xdr_opaque(std::string_view s);
 
-  std::size_t size() const noexcept { return out_.size(); }
+  std::size_t size() const noexcept { return vec_ ? vec_->size() : pos_; }
 
  private:
-  std::vector<std::byte>& out_;
+  /// The next `n` bytes of output.
+  std::byte* grab(std::size_t n);
+
+  std::vector<std::byte>* vec_ = nullptr;
+  std::span<std::byte> fixed_;
+  std::size_t pos_ = 0;  ///< bytes written into fixed_
 };
 
 /// Reads network-order fields from a byte span. All accessors throw

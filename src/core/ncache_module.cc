@@ -152,8 +152,8 @@ MsgBuffer NCacheModule::ingest_lbn(std::uint32_t target, std::uint64_t lbn,
     // Caller still needs the data; re-resolve (insert kept nothing).
     // Fall back to a junk marker only if the chain was consumed — it was
     // moved, so resolve through lookup or return junk.
-    auto cached = cache_.lookup(CacheKey(key));
-    if (cached) return std::move(*cached);
+    const MsgBuffer* cached = cache_.lookup(CacheKey(key));
+    if (cached) return *cached;
     return MsgBuffer::junk(len);
   }
   return MsgBuffer::from_key(CacheKey(key), 0, len);
@@ -200,7 +200,7 @@ bool NCacheModule::egress_filter(proto::Frame& frame) {
       continue;
     }
     ++keys;
-    auto cached = cache_.lookup(k->key);
+    const MsgBuffer* cached = cache_.lookup(k->key);
     if (!cached || k->off + k->len > cached->size()) {
       ++stats_.substitution_misses;
       note_pressure();

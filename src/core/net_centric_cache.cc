@@ -120,13 +120,13 @@ bool NetCentricCache::insert_fho(FhoKey key, MsgBuffer chain) {
   return true;
 }
 
-std::optional<MsgBuffer> NetCentricCache::lookup(const CacheKey& key) {
+const MsgBuffer* NetCentricCache::lookup(const CacheKey& key) {
   if (const auto* f = std::get_if<FhoKey>(&key)) {
     auto it = fho_index_.find(*f);
     if (it != fho_index_.end()) {
       ++stats_.hits;
       touch(*it->second);
-      return it->second->chain;
+      return &it->second->chain;
     }
     auto fwd = forward_.find(*f);
     if (fwd != forward_.end()) {
@@ -135,21 +135,21 @@ std::optional<MsgBuffer> NetCentricCache::lookup(const CacheKey& key) {
         ++stats_.hits;
         ++stats_.forward_hits;
         touch(*lit->second);
-        return lit->second->chain;
+        return &lit->second->chain;
       }
     }
     ++stats_.misses;
-    return std::nullopt;
+    return nullptr;
   }
   const auto& l = std::get<LbnKey>(key);
   auto it = lbn_index_.find(l);
   if (it == lbn_index_.end()) {
     ++stats_.misses;
-    return std::nullopt;
+    return nullptr;
   }
   ++stats_.hits;
   touch(*it->second);
-  return it->second->chain;
+  return &it->second->chain;
 }
 
 bool NetCentricCache::contains_lbn(std::uint64_t lbn_block,

@@ -78,10 +78,14 @@ class NetCentricCache {
   bool insert_fho(netbuf::FhoKey key, netbuf::MsgBuffer chain);
 
   // ---- lookup ---------------------------------------------------------------
-  /// Resolves a key to its cached chain. For FHO keys the FHO index is
-  /// consulted first, then remap forwarding into the LBN index — the §3.4
-  /// freshness rule. Touches the LRU.
-  std::optional<netbuf::MsgBuffer> lookup(const netbuf::CacheKey& key);
+  /// Resolves a key to its cached chain, or nullptr on a miss. For FHO
+  /// keys the FHO index is consulted first, then remap forwarding into the
+  /// LBN index — the §3.4 freshness rule. Touches the LRU.
+  ///
+  /// The chain stays owned by the cache: the pointer is valid until the
+  /// next call that inserts, remaps, invalidates, evicts or clears. Slice
+  /// or copy it before doing any of those.
+  const netbuf::MsgBuffer* lookup(const netbuf::CacheKey& key);
 
   /// Presence probe without LRU touch (used by the initiator's
   /// second-level-cache check).

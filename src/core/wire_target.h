@@ -38,7 +38,10 @@ class WireFormatTarget {
 
  private:
   std::optional<netbuf::MsgBuffer> lookup(std::uint64_t lbn) {
-    return cache_.lookup(netbuf::CacheKey(netbuf::LbnKey{0, lbn}));
+    const netbuf::MsgBuffer* chain =
+        cache_.lookup(netbuf::CacheKey(netbuf::LbnKey{0, lbn}));
+    if (!chain) return std::nullopt;
+    return *chain;
   }
 
   void insert(std::uint64_t lbn, netbuf::MsgBuffer chain) {

@@ -1,6 +1,7 @@
 #include "fs/simple_fs.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "common/logging.h"
@@ -173,8 +174,10 @@ Task<void> SimpleFs::free_inode(std::uint32_t ino) {
 Task<std::uint32_t> SimpleFs::read_ptr(std::uint32_t block_lbn,
                                        std::size_t slot) {
   auto block = co_await cache_.get(block_lbn, true);
-  auto bytes = block->bytes();
-  ByteReader r({bytes.data() + slot * 4, 4});
+  // Gather just the one pointer, not the whole block.
+  std::array<std::byte, 4> raw;
+  block->data.slice(slot * 4, 4).copy_out(raw);
+  ByteReader r(raw);
   co_return r.u32();
 }
 

@@ -69,14 +69,14 @@ void HttpClient::on_data(MsgBuffer m) {
       }
       in_body_ = true;
       body_acc_.clear();
-      // Re-slice the tail of this chunk as body bytes.
-      m = m.slice(m.size() - consumed_now, consumed_now);
+      // The rest of this chunk is body bytes.
+      m.consume(m.size() - consumed_now);
       continue;
     }
 
     std::uint64_t take = std::min<std::uint64_t>(m.size(), body_need_);
     body_acc_.append(m.slice(0, take));
-    m = m.slice(take, m.size() - take);
+    m.consume(take);
     body_need_ -= take;
     if (body_need_ == 0) finish_response();
   }

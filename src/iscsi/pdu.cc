@@ -109,7 +109,7 @@ void PduParser::feed(netbuf::MsgBuffer chunk,
       Pdu p = Pdu::parse_bhs(bhs);
       std::size_t dlen = p.data.size();  // placeholder length from header
       std::size_t pad = (4 - (dlen & 3)) & 3;
-      pending_ = pending_.slice(kBhsBytes, pending_.size() - kBhsBytes);
+      pending_.consume(kBhsBytes);
       header_ = std::move(p);
       need_ = dlen + pad;
       if (need_ == 0) {
@@ -124,7 +124,7 @@ void PduParser::feed(netbuf::MsgBuffer chunk,
     // Data segment (+ pad) is available.
     std::size_t dlen = header_->data.size();
     header_->data = pending_.slice(0, dlen);
-    pending_ = pending_.slice(need_, pending_.size() - need_);
+    pending_.consume(need_);
     Pdu done = std::move(*header_);
     header_.reset();
     need_ = kBhsBytes;

@@ -10,8 +10,12 @@
 //     paper's `*-baseline` servers ship these ("packets ... contain only
 //     random bits as payload", §5.1).
 //
-// Slicing a MsgBuffer (for IP fragmentation / TCP segmentation) is cheap
-// and allocation-light: ByteSegs share the underlying NetBuffer.
+// Slicing a MsgBuffer (for IP fragmentation / TCP segmentation) is cheap:
+// ByteSegs share the underlying NetBuffer, and the first kInlineSegments
+// segments live inside the MsgBuffer object itself, so the one- and
+// two-segment chains that make up nearly every frame never touch the
+// heap. Longer chains spill to an array from a process-wide free list,
+// which the buffer gives back as soon as it becomes empty.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +58,16 @@ inline std::uint32_t seg_len(const Segment& s) noexcept {
 
 class MsgBuffer {
  public:
-  MsgBuffer() = default;
+  /// Segments stored in the object itself; the chain spills to the heap
+  /// beyond this count.
+  static constexpr std::size_t kInlineSegments = 2;
+
+  MsgBuffer() noexcept {}
+  MsgBuffer(const MsgBuffer& other);
+  MsgBuffer(MsgBuffer&& other) noexcept;
+  MsgBuffer& operator=(const MsgBuffer& other);
+  MsgBuffer& operator=(MsgBuffer&& other) noexcept;
+  ~MsgBuffer() { release(); }
 
   /// Builds a message with one ByteSeg copied from `src` (this *is* a
   /// physical copy; callers wanting accounting should go through
@@ -73,11 +86,16 @@ class MsgBuffer {
   static MsgBuffer junk(std::uint32_t len);
 
   void append(Segment seg);
-  void append(MsgBuffer other);  ///< splices other's segments (no copy)
+  /// Splices other's segments (no copy). Into an empty buffer this takes
+  /// over other's storage outright.
+  void append(MsgBuffer other);
 
+  /// Total bytes; a message is at most 4 GB - 1 (append throws beyond).
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
-  const std::vector<Segment>& segments() const noexcept { return segs_; }
+  std::span<const Segment> segments() const noexcept {
+    return {data() + head_, count_};
+  }
 
   /// True if every byte is physically present.
   bool fully_physical() const noexcept;
@@ -94,6 +112,12 @@ class MsgBuffer {
   /// segs are re-ranged. Throws std::out_of_range if out of bounds.
   MsgBuffer slice(std::size_t off, std::size_t len) const;
 
+  /// Drops the first `n` bytes in place: whole leading segments are
+  /// released and the new first segment is re-ranged. Equivalent to
+  /// `*this = slice(n, size() - n)` without building a second chain.
+  /// Throws std::out_of_range if n > size().
+  void consume(std::size_t n);
+
   /// Gathers physical bytes into `dst` (dst.size() == size()). Junk/Key
   /// segments are filled with a deterministic pattern (they have no real
   /// bytes); callers that require real data must materialize first.
@@ -106,14 +130,36 @@ class MsgBuffer {
   /// throws if the prefix is not fully physical.
   std::vector<std::byte> peek_bytes(std::size_t n) const;
 
-  void clear() noexcept {
-    segs_.clear();
-    size_ = 0;
-  }
+  void clear() noexcept { release(); }
 
  private:
-  std::vector<Segment> segs_;
-  std::size_t size_ = 0;
+  bool spilled() const noexcept { return cap_ > kInlineSegments; }
+  Segment* data() noexcept { return spilled() ? heap_ : inline_; }
+  const Segment* data() const noexcept { return spilled() ? heap_ : inline_; }
+  /// Adds `len` to size_, refusing to wrap it.
+  void grow_size(std::size_t len);
+  /// Room for `extra` more segments after the last one: compacts the
+  /// live range to the front, or moves it to a larger spill array.
+  void reserve_back(std::size_t extra);
+  /// Destroys every segment and returns the spill array, if any, to its
+  /// free list.
+  void release() noexcept;
+  /// Takes over other's segments and storage; *this must be empty.
+  void steal(MsgBuffer& other) noexcept;
+
+  // Live segments are [head_, head_ + count_) of data(); consume() advances
+  // head_ instead of shifting the chain down. A spilled chain keeps its
+  // array pointer where the inline segments were, which keeps the object
+  // at 96 bytes: frames, cached chunks and every idle TCP connection's
+  // send queue embed one.
+  union {
+    Segment inline_[kInlineSegments];
+    Segment* heap_;  ///< the spill array, when spilled()
+  };
+  std::uint32_t head_ = 0;
+  std::uint32_t count_ = 0;
+  std::uint32_t cap_ = kInlineSegments;
+  std::uint32_t size_ = 0;
 };
 
 }  // namespace ncache::netbuf

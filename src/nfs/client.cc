@@ -89,8 +89,8 @@ Task<std::optional<MsgBuffer>> NfsClient::call(Proc proc,
   std::uint32_t xid = next_xid_++;
   ++stats_.calls;
 
-  std::vector<std::byte> head;
-  ByteWriter w(head);
+  std::vector<std::byte> head(kCallHeaderBytes + args.size());
+  ByteWriter w{std::span<std::byte>(head)};
   CallHeader{xid, kNfsProgram, kNfsVersion, proc}.serialize(w);
   w.bytes(args);
 
@@ -171,9 +171,7 @@ void NfsClient::register_metrics(MetricRegistry& registry,
 }
 
 Task<std::optional<Fattr>> NfsClient::getattr(std::uint64_t fh) {
-  std::vector<std::byte> args;
-  ByteWriter w(args);
-  GetattrArgs{fh}.serialize(w);
+  auto args = encode(GetattrArgs{fh});
   auto reply = co_await call(Proc::Getattr, args);
   if (!reply) co_return std::nullopt;
   auto bytes = reply->peek_bytes(reply->size());
@@ -185,9 +183,7 @@ Task<std::optional<Fattr>> NfsClient::getattr(std::uint64_t fh) {
 
 Task<std::optional<std::uint64_t>> NfsClient::lookup(std::uint64_t dir_fh,
                                                      std::string_view name) {
-  std::vector<std::byte> args;
-  ByteWriter w(args);
-  LookupArgs{dir_fh, std::string(name)}.serialize(w);
+  auto args = encode(LookupArgs{dir_fh, std::string(name)});
   auto reply = co_await call(Proc::Lookup, args);
   if (!reply) co_return std::nullopt;
   auto bytes = reply->peek_bytes(reply->size());
@@ -200,9 +196,7 @@ Task<std::optional<std::uint64_t>> NfsClient::lookup(std::uint64_t dir_fh,
 Task<NfsClient::ReadResult> NfsClient::read(std::uint64_t fh,
                                             std::uint64_t offset,
                                             std::uint32_t count) {
-  std::vector<std::byte> args;
-  ByteWriter w(args);
-  ReadArgs{fh, offset, count}.serialize(w);
+  auto args = encode(ReadArgs{fh, offset, count});
   auto reply = co_await call(Proc::Read, args);
   ReadResult out;
   if (!reply) co_return out;
@@ -237,9 +231,7 @@ Task<NfsClient::ReadResult> NfsClient::read(std::uint64_t fh,
 
 Task<Status> NfsClient::write(std::uint64_t fh, std::uint64_t offset,
                               std::span<const std::byte> data) {
-  std::vector<std::byte> args;
-  ByteWriter w(args);
-  WriteArgs{fh, offset, std::uint32_t(data.size())}.serialize(w);
+  auto args = encode(WriteArgs{fh, offset, std::uint32_t(data.size())});
   // Application buffer -> socket copy on the client.
   MsgBuffer payload =
       stack_.copier().copy_bytes_in(data, CopyClass::RegularData);
@@ -257,11 +249,9 @@ Task<Status> NfsClient::write(std::uint64_t fh, std::uint64_t offset,
 Task<std::optional<std::uint64_t>> NfsClient::create(std::uint64_t dir_fh,
                                                      std::string_view name,
                                                      bool directory) {
-  std::vector<std::byte> args;
-  ByteWriter w(args);
-  CreateArgs{dir_fh, std::string(name),
-             directory ? fs::InodeType::Directory : fs::InodeType::File}
-      .serialize(w);
+  auto args = encode(CreateArgs{
+      dir_fh, std::string(name),
+      directory ? fs::InodeType::Directory : fs::InodeType::File});
   auto reply =
       co_await call(directory ? Proc::Mkdir : Proc::Create, args);
   if (!reply) co_return std::nullopt;
@@ -273,9 +263,7 @@ Task<std::optional<std::uint64_t>> NfsClient::create(std::uint64_t dir_fh,
 }
 
 Task<Status> NfsClient::remove(std::uint64_t dir_fh, std::string_view name) {
-  std::vector<std::byte> args;
-  ByteWriter w(args);
-  LookupArgs{dir_fh, std::string(name)}.serialize(w);
+  auto args = encode(LookupArgs{dir_fh, std::string(name)});
   auto reply = co_await call(Proc::Remove, args);
   if (!reply) co_return Status::Io;
   auto bytes = reply->peek_bytes(kReplyHeaderBytes);
@@ -288,10 +276,8 @@ Task<Status> NfsClient::rename(std::uint64_t src_dir,
                                std::string_view src_name,
                                std::uint64_t dst_dir,
                                std::string_view dst_name) {
-  std::vector<std::byte> args;
-  ByteWriter w(args);
-  RenameArgs{src_dir, std::string(src_name), dst_dir, std::string(dst_name)}
-      .serialize(w);
+  auto args = encode(RenameArgs{src_dir, std::string(src_name), dst_dir,
+                                std::string(dst_name)});
   auto reply = co_await call(Proc::Rename, args);
   if (!reply) co_return Status::Io;
   auto bytes = reply->peek_bytes(kReplyHeaderBytes);
@@ -301,9 +287,7 @@ Task<Status> NfsClient::rename(std::uint64_t src_dir,
 }
 
 Task<Status> NfsClient::setattr_size(std::uint64_t fh, std::uint64_t size) {
-  std::vector<std::byte> args;
-  ByteWriter w(args);
-  SetattrArgs{fh, size}.serialize(w);
+  auto args = encode(SetattrArgs{fh, size});
   auto reply = co_await call(Proc::Setattr, args);
   if (!reply) co_return Status::Io;
   auto bytes = reply->peek_bytes(kReplyHeaderBytes);
@@ -313,9 +297,7 @@ Task<Status> NfsClient::setattr_size(std::uint64_t fh, std::uint64_t size) {
 }
 
 Task<std::vector<DirEntry>> NfsClient::readdir(std::uint64_t fh) {
-  std::vector<std::byte> args;
-  ByteWriter w(args);
-  GetattrArgs{fh}.serialize(w);
+  auto args = encode(GetattrArgs{fh});
   auto reply = co_await call(Proc::Readdir, args);
   if (!reply) co_return std::vector<DirEntry>{};
   auto bytes = reply->peek_bytes(reply->size());

@@ -8,7 +8,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -50,6 +53,15 @@ enum class Status : std::uint32_t {
 constexpr std::size_t kCallHeaderBytes = 20;   // xid, mtype, prog, vers, proc
 constexpr std::size_t kReplyHeaderBytes = 12;  // xid, mtype, status
 
+// Argument and attribute types know their exact XDR size (wire_bytes()),
+// so encoders write into storage of that size instead of growing a vector
+// field by field.
+
+/// XDR size of a length-prefixed, 4-byte-padded string.
+constexpr std::size_t xdr_opaque_bytes(std::string_view s) {
+  return 4 + (s.size() + 3) / 4 * 4;
+}
+
 struct CallHeader {
   std::uint32_t xid = 0;
   std::uint32_t prog = kNfsProgram;
@@ -73,6 +85,7 @@ struct Fattr {
   std::uint64_t size = 0;
   std::uint32_t nlink = 0;
 
+  static constexpr std::size_t wire_bytes() { return 16; }
   void serialize(ByteWriter& w) const;
   static Fattr parse(ByteReader& r);
   friend bool operator==(const Fattr&, const Fattr&) = default;
@@ -82,6 +95,7 @@ struct Fattr {
 
 struct GetattrArgs {
   std::uint64_t fh;
+  static constexpr std::size_t wire_bytes() { return 8; }
   void serialize(ByteWriter& w) const;
   static GetattrArgs parse(ByteReader& r);
 };
@@ -89,6 +103,7 @@ struct GetattrArgs {
 struct LookupArgs {
   std::uint64_t dir_fh;
   std::string name;
+  std::size_t wire_bytes() const { return 8 + xdr_opaque_bytes(name); }
   void serialize(ByteWriter& w) const;
   static LookupArgs parse(ByteReader& r);
 };
@@ -97,26 +112,31 @@ struct ReadArgs {
   std::uint64_t fh;
   std::uint64_t offset;
   std::uint32_t count;
+  static constexpr std::size_t wire_bytes() { return 20; }
   void serialize(ByteWriter& w) const;
   static ReadArgs parse(ByteReader& r);
 };
 
 /// WRITE arguments; the payload follows as the remainder of the datagram
 /// (so it can travel as a buffer chain, not a copied array).
+constexpr std::size_t kWriteArgsBytes = 20;
 struct WriteArgs {
   std::uint64_t fh;
   std::uint64_t offset;
   std::uint32_t count;
+  static constexpr std::size_t wire_bytes() { return kWriteArgsBytes; }
   void serialize(ByteWriter& w) const;
   static WriteArgs parse(ByteReader& r);
 };
-constexpr std::size_t kWriteArgsBytes = 20;
 
 struct RenameArgs {
   std::uint64_t src_dir;
   std::string src_name;
   std::uint64_t dst_dir;
   std::string dst_name;
+  std::size_t wire_bytes() const {
+    return 16 + xdr_opaque_bytes(src_name) + xdr_opaque_bytes(dst_name);
+  }
   void serialize(ByteWriter& w) const;
   static RenameArgs parse(ByteReader& r);
 };
@@ -126,6 +146,7 @@ struct RenameArgs {
 struct SetattrArgs {
   std::uint64_t fh;
   std::uint64_t size;
+  static constexpr std::size_t wire_bytes() { return 16; }
   void serialize(ByteWriter& w) const;
   static SetattrArgs parse(ByteReader& r);
 };
@@ -134,6 +155,7 @@ struct CreateArgs {
   std::uint64_t dir_fh;
   std::string name;
   fs::InodeType type = fs::InodeType::File;
+  std::size_t wire_bytes() const { return 12 + xdr_opaque_bytes(name); }
   void serialize(ByteWriter& w) const;
   static CreateArgs parse(ByteReader& r);
 };
@@ -147,5 +169,18 @@ struct DirEntry {
 /// Serializes a READDIR reply body (count + entries).
 void serialize_dir_entries(ByteWriter& w, const std::vector<DirEntry>& es);
 std::vector<DirEntry> parse_dir_entries(ByteReader& r);
+
+/// Encodes `msg` into a vector of exactly msg.wire_bytes(); throws
+/// std::logic_error if serialize() disagrees with that size.
+template <typename T>
+std::vector<std::byte> encode(const T& msg) {
+  std::vector<std::byte> out(msg.wire_bytes());
+  ByteWriter w{std::span<std::byte>(out)};
+  msg.serialize(w);
+  if (w.size() != out.size()) {
+    throw std::logic_error("nfs::encode: wire_bytes() overstates the size");
+  }
+  return out;
+}
 
 }  // namespace ncache::nfs

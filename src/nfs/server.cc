@@ -1,5 +1,7 @@
 #include "nfs/server.h"
 
+#include <array>
+
 #include "common/logging.h"
 #include "common/metrics.h"
 
@@ -180,8 +182,8 @@ Task<Fattr> NfsServer::fattr_of(std::uint64_t fh) {
 
 std::vector<std::byte> NfsServer::reply_head(std::uint32_t xid, Status status,
                                              std::span<const std::byte> body) {
-  std::vector<std::byte> head;
-  ByteWriter w(head);
+  std::vector<std::byte> head(kReplyHeaderBytes + body.size());
+  ByteWriter w{std::span<std::byte>(head)};
   ReplyHeader{xid, status}.serialize(w);
   w.bytes(body);
   return head;
@@ -247,7 +249,7 @@ Task<void> NfsServer::do_read(const Request& req, const CallHeader& call,
                                      args.count);
   Fattr attr = co_await fattr_of(args.fh);
 
-  std::vector<std::byte> reply_body;
+  std::array<std::byte, Fattr::wire_bytes() + 4> reply_body;
   ByteWriter w(reply_body);
   attr.serialize(w);
   w.u32(std::uint32_t(data.size()));
@@ -313,7 +315,7 @@ Task<void> NfsServer::do_write(const Request& req, const CallHeader& call,
   if (on_write_ && wrote > 0) on_write_(args.fh, args.offset, wrote);
   Fattr attr = co_await fattr_of(args.fh);
 
-  std::vector<std::byte> reply_body;
+  std::array<std::byte, Fattr::wire_bytes()> reply_body;
   ByteWriter w(reply_body);
   attr.serialize(w);
   // The fs await dropped the core context; the reply transmit charges
@@ -326,7 +328,10 @@ Task<void> NfsServer::do_write(const Request& req, const CallHeader& call,
 Task<void> NfsServer::do_metadata(const Request& req, const CallHeader& call,
                                   ByteReader& body) {
   ++stats_.metadata_ops;
+  // Room for the largest fixed-size reply (a handle plus attributes);
+  // only READDIR grows past it.
   std::vector<std::byte> reply_body;
+  reply_body.reserve(8 + Fattr::wire_bytes());
   ByteWriter w(reply_body);
   Status status = Status::Ok;
 

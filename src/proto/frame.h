@@ -4,8 +4,14 @@
 // the L4 payload slice travels as a MsgBuffer, which may still contain
 // logical (KeySeg) segments until the NCache egress interceptor
 // materializes them at the driver boundary.
+//
+// Between Nic::send and Nic::deliver a frame travels boxed (FrameBox): it
+// is boxed once when it leaves the host and the same box rides the tx
+// link, the switch and the rx link. Boxes recycle through a process-wide
+// free list, so the hops allocate nothing.
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "netbuf/msg_buffer.h"
@@ -41,5 +47,16 @@ struct Frame {
     return kEthHeaderBytes + l3l4_header_bytes() + payload.size();
   }
 };
+
+/// Destroys a boxed frame and returns its storage to the free list.
+struct FrameDeleter {
+  void operator()(Frame* f) const noexcept;
+};
+using FrameBox = std::unique_ptr<Frame, FrameDeleter>;
+
+/// Moves `frame` into a box from the free list (the heap only when the
+/// list is empty). Like SlabCache::process(), the list is process-wide
+/// and unlocked: the simulation runs on one thread.
+FrameBox box_frame(Frame&& frame);
 
 }  // namespace ncache::proto

@@ -18,8 +18,9 @@ std::optional<IpReassembler::Datagram> IpReassembler::feed(Frame frame) {
 
   FlowKey key{frame.ip.src, frame.ip.dst, frame.ip.id,
               static_cast<std::uint8_t>(frame.ip.protocol)};
-  Partial& p = partial_[key];
-  if (p.pieces.empty()) {
+  auto [slot, fresh] = partial_.try_emplace(key);
+  Partial& p = slot->second;
+  if (fresh) {
     p.started = loop_.now();
     arm_expiry();
   }
@@ -36,12 +37,16 @@ std::optional<IpReassembler::Datagram> IpReassembler::feed(Frame frame) {
     p.total_len = byte_offset + std::uint32_t(frame.payload.size());
   }
   p.inherited = p.inherited || frame.l4_checksum_inherited;
-  p.pieces[byte_offset] = std::move(frame.payload);
+  if (p.pieces.empty() && byte_offset == p.head.size()) {
+    p.head.append(std::move(frame.payload));
+  } else {
+    p.pieces[byte_offset] = std::move(frame.payload);
+  }
 
   if (!(p.have_first && p.have_last)) return std::nullopt;
 
   // Check contiguous coverage of [0, total_len).
-  std::uint32_t covered = 0;
+  auto covered = std::uint32_t(p.head.size());
   for (const auto& [off, buf] : p.pieces) {
     if (off > covered) return std::nullopt;  // hole
     covered = std::max(covered, off + std::uint32_t(buf.size()));
@@ -53,7 +58,8 @@ std::optional<IpReassembler::Datagram> IpReassembler::feed(Frame frame) {
   d.udp = p.udp;
   d.tcp = p.tcp;
   d.l4_checksum_inherited = p.inherited;
-  std::uint32_t pos = 0;
+  auto pos = std::uint32_t(p.head.size());
+  d.payload = std::move(p.head);
   for (auto& [off, buf] : p.pieces) {
     if (off + buf.size() <= pos) continue;  // fully-overlapped duplicate
     std::uint32_t skip = pos - off;
@@ -61,7 +67,7 @@ std::optional<IpReassembler::Datagram> IpReassembler::feed(Frame frame) {
     d.payload.append(skip == 0 ? std::move(buf) : buf.slice(skip, take));
     pos += take;
   }
-  partial_.erase(key);
+  partial_.erase(slot);
   return d;
 }
 

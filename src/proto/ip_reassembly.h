@@ -62,6 +62,9 @@ class IpReassembler {
     }
   };
   struct Partial {
+    /// Fragments that arrived in order, concatenated: covers
+    /// [0, head.size()). Only an out-of-order arrival takes a map node.
+    netbuf::MsgBuffer head;
     std::map<std::uint32_t, netbuf::MsgBuffer> pieces;  // offset -> bytes
     std::optional<UdpHeader> udp;
     std::optional<TcpHeader> tcp;

@@ -1,6 +1,5 @@
 #include "proto/nic.h"
 
-#include <memory>
 #include <stdexcept>
 
 #include "common/logging.h"
@@ -45,26 +44,26 @@ void Nic::send(Frame frame) {
                            ? sim::Duration(double(costs_.packet_tx_ns) *
                                            costs_.tcp_packet_factor)
                            : costs_.packet_tx_ns;
-  auto f = std::make_shared<Frame>(std::move(frame));
-  cpu_.submit(cost, [this, f, wire] {
-    tx_->transmit(wire, [this, f] { tx_peer_(std::move(*f)); });
+  cpu_.submit(cost, [this, f = box_frame(std::move(frame)), wire]() mutable {
+    tx_->transmit(wire, [this, f = std::move(f)]() mutable {
+      tx_peer_(std::move(f));
+    });
   });
 }
 
-void Nic::deliver(Frame frame) {
-  rx_meter_.add(frame.wire_bytes());
+void Nic::deliver(FrameBox f) {
+  rx_meter_.add(f->wire_bytes());
   rx_frames_.add();
 
-  if (!costs_.checksum_offload && !frame.l4_checksum_inherited) {
-    copier_.charge_checksum(frame.payload.size() + frame.l3l4_header_bytes());
+  if (!costs_.checksum_offload && !f->l4_checksum_inherited) {
+    copier_.charge_checksum(f->payload.size() + f->l3l4_header_bytes());
   }
 
-  sim::Duration cost = frame.tcp
+  sim::Duration cost = f->tcp
                            ? sim::Duration(double(costs_.packet_rx_ns) *
                                            costs_.tcp_packet_factor)
                            : costs_.packet_rx_ns;
-  auto f = std::make_shared<Frame>(std::move(frame));
-  cpu_.submit(cost, [this, f] {
+  cpu_.submit(cost, [this, f = std::move(f)] {
     if (ingress_filter_ && !ingress_filter_(*f)) {
       ++dropped_;
       return;

@@ -44,19 +44,20 @@ class Nic {
 
   /// Wires the transmit side (called by the switch when connecting):
   /// frames serialize on `tx` and are then handed to `deliver_at_peer`.
-  void attach_tx(sim::Link* tx, std::function<void(Frame)> deliver_at_peer) {
+  void attach_tx(sim::Link* tx,
+                 std::function<void(FrameBox)> deliver_at_peer) {
     tx_ = tx;
     tx_peer_ = std::move(deliver_at_peer);
   }
   bool attached() const noexcept { return tx_ != nullptr; }
 
   /// Transmit path: egress filter -> checksum -> CPU (driver/tx work) ->
-  /// link serialization.
+  /// link serialization. The frame is boxed here for its whole trip.
   void send(Frame frame);
 
   /// Receive path, invoked by the switch-side link delivery: CPU
   /// (interrupt/driver work) -> ingress filter -> stack handler.
-  void deliver(Frame frame);
+  void deliver(FrameBox frame);
 
   void set_rx_handler(RxHandler h) { rx_ = std::move(h); }
   void set_egress_filter(FrameFilter f) { egress_filter_ = std::move(f); }
@@ -85,7 +86,7 @@ class Nic {
   MacAddr mac_;
   Ipv4Addr ip_;
   sim::Link* tx_ = nullptr;
-  std::function<void(Frame)> tx_peer_;
+  std::function<void(FrameBox)> tx_peer_;
 
   RxHandler rx_;
   FrameFilter egress_filter_;

@@ -1,5 +1,6 @@
 #include "proto/stack.h"
 
+#include <array>
 #include <stdexcept>
 
 #include "common/checksum.h"
@@ -86,6 +87,17 @@ std::uint16_t NetworkStack::l4_checksum(Ipv4Addr src, Ipv4Addr dst,
   return checksum_finish(acc);
 }
 
+std::uint16_t NetworkStack::udp_checksum(
+    Ipv4Addr src, Ipv4Addr dst, const UdpHeader& h,
+    const netbuf::MsgBuffer& payload) const {
+  std::array<std::byte, kUdpHeaderBytes> hdr;
+  ByteWriter w(hdr);
+  UdpHeader tmp = h;
+  tmp.checksum = 0;
+  tmp.serialize(w);
+  return l4_checksum(src, dst, IpProto::Udp, hdr, payload);
+}
+
 // ---------------------------------------------------------------------------
 // Send path
 // ---------------------------------------------------------------------------
@@ -166,12 +178,7 @@ void NetworkStack::udp_send(Ipv4Addr src_ip, std::uint16_t src_port,
   uh.length = static_cast<std::uint16_t>(kUdpHeaderBytes + payload.size());
 
   if (payload.fully_physical()) {
-    std::vector<std::byte> hdr;
-    ByteWriter w(hdr);
-    UdpHeader tmp = uh;
-    tmp.checksum = 0;
-    tmp.serialize(w);
-    uh.checksum = l4_checksum(src_ip, dst_ip, IpProto::Udp, hdr, payload);
+    uh.checksum = udp_checksum(src_ip, dst_ip, uh, payload);
   } else {
     uh.checksum = 0;  // inherited / filled by NCache substitution path
   }
@@ -194,7 +201,7 @@ void NetworkStack::emit_tcp_segment(TcpConnection& conn, TcpHeader h,
   if (!mac) return;
 
   if (payload.fully_physical()) {
-    std::vector<std::byte> hdr;
+    std::array<std::byte, kTcpHeaderBytes> hdr;
     ByteWriter w(hdr);
     TcpHeader tmp = h;
     tmp.checksum = 0;
@@ -247,13 +254,7 @@ void NetworkStack::dispatch_udp(IpReassembler::Datagram d) {
   // Validate the UDP checksum when it is real and the payload is physical.
   if (!d.l4_checksum_inherited && d.udp->checksum != 0 &&
       d.payload.fully_physical()) {
-    std::vector<std::byte> hdr;
-    ByteWriter w(hdr);
-    UdpHeader tmp = *d.udp;
-    tmp.checksum = 0;
-    tmp.serialize(w);
-    std::uint16_t expect =
-        l4_checksum(d.ip.src, d.ip.dst, IpProto::Udp, hdr, d.payload);
+    std::uint16_t expect = udp_checksum(d.ip.src, d.ip.dst, *d.udp, d.payload);
     if (expect != d.udp->checksum) {
       ++stats_.bad_checksum_drops;
       return;

@@ -138,6 +138,9 @@ class NetworkStack {
   std::uint16_t l4_checksum(Ipv4Addr src, Ipv4Addr dst, IpProto proto,
                             std::span<const std::byte> l4_header,
                             const netbuf::MsgBuffer& payload) const;
+  /// The UDP checksum of `h` (its checksum field read as zero) + payload.
+  std::uint16_t udp_checksum(Ipv4Addr src, Ipv4Addr dst, const UdpHeader& h,
+                             const netbuf::MsgBuffer& payload) const;
   TcpConnectionPtr make_connection(Ipv4Addr lip, std::uint16_t lport,
                                    Ipv4Addr rip, std::uint16_t rport);
 

@@ -20,7 +20,7 @@ void EthernetSwitch::connect(Nic& nic, std::uint64_t bandwidth_bps,
   // NIC -> switch direction: frames serialize on cable.a_to_b, then land at
   // this switch's ingress for the port.
   nic.attach_tx(&cable->a_to_b,
-                [this, index](Frame f) { on_ingress(index, std::move(f)); });
+                [this, index](FrameBox f) { on_ingress(index, std::move(f)); });
 
   Port port;
   port.nic = &nic;
@@ -108,11 +108,11 @@ sim::DuplexLink& EthernetSwitch::trunk_of(const EthernetSwitch& peer) {
                               " <-> " + peer.name_);
 }
 
-void EthernetSwitch::on_ingress(std::size_t port_index, Frame frame) {
-  mac_table_[frame.eth.src] = port_index;  // learn (idempotent here)
+void EthernetSwitch::on_ingress(std::size_t port_index, FrameBox frame) {
+  mac_table_[frame->eth.src] = port_index;  // learn (idempotent here)
 
-  if (frame.eth.dst != kBroadcastMac) {
-    auto it = mac_table_.find(frame.eth.dst);
+  if (frame->eth.dst != kBroadcastMac) {
+    auto it = mac_table_.find(frame->eth.dst);
     if (it != mac_table_.end()) {
       ++forwarded_;
       forward(it->second, std::move(frame));
@@ -123,21 +123,24 @@ void EthernetSwitch::on_ingress(std::size_t port_index, Frame frame) {
   ++flooded_;
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     if (i == port_index) continue;
-    forward(i, frame);  // copy per egress port
+    forward(i, box_frame(Frame(*frame)));  // copy per egress port
   }
 }
 
-void EthernetSwitch::forward(std::size_t out_port, Frame frame) {
+void EthernetSwitch::forward(std::size_t out_port, FrameBox frame) {
   Port& p = ports_[out_port];
-  std::size_t wire = frame.wire_bytes();
-  auto f = std::make_shared<Frame>(std::move(frame));
+  std::size_t wire = frame->wire_bytes();
   if (p.nic) {
     Nic* nic = p.nic;
-    p.tx->transmit(wire, [nic, f] { nic->deliver(std::move(*f)); });
+    p.tx->transmit(wire, [nic, f = std::move(frame)]() mutable {
+      nic->deliver(std::move(f));
+    });
   } else {
     EthernetSwitch* peer = p.peer;
     std::size_t in = p.peer_port;
-    p.tx->transmit(wire, [peer, in, f] { peer->on_ingress(in, std::move(*f)); });
+    p.tx->transmit(wire, [peer, in, f = std::move(frame)]() mutable {
+      peer->on_ingress(in, std::move(f));
+    });
   }
 }
 

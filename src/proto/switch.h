@@ -68,8 +68,8 @@ class EthernetSwitch {
     sim::DuplexLink* wire = nullptr;         ///< view of the cable, both ends
   };
 
-  void on_ingress(std::size_t port_index, Frame frame);
-  void forward(std::size_t out_port, Frame frame);
+  void on_ingress(std::size_t port_index, FrameBox frame);
+  void forward(std::size_t out_port, FrameBox frame);
   /// Installs mac→via_port and propagates the announcement over every
   /// other trunk (split horizon; terminates because trunks are loop-free).
   void learn_remote(MacAddr mac, std::size_t via_port);

@@ -32,7 +32,8 @@ TcpConnection::TcpConnection(sim::EventLoop& loop, Ipv4Addr local_ip,
       emit_(std::move(emit)),
       iss_(iss),
       snd_una_(iss),
-      snd_nxt_(iss) {}
+      snd_nxt_(iss),
+      sendq_seq_(iss + 1) {}
 
 std::string TcpConnection::describe() const {
   return ipv4_to_string(local_ip_) + ":" + std::to_string(local_port_) +
@@ -138,30 +139,28 @@ void TcpConnection::pump() {
     return;  // data flows only once synchronized (no Fast Open)
   }
   std::uint32_t wnd = std::min<std::uint32_t>(peer_window_, kWindow);
-  while (!sendq_.empty()) {
+  while (queued_bytes() > 0) {
     std::uint32_t inflight = snd_nxt_ - snd_una_;
     if (inflight >= wnd) break;
     std::uint32_t can = wnd - inflight;
+    std::size_t unsent = queued_bytes();
     std::uint32_t take = std::min<std::uint32_t>(
-        {kMss, can, static_cast<std::uint32_t>(sendq_.size())});
+        {kMss, can, static_cast<std::uint32_t>(unsent)});
     if (take < kMss) {
       // Sender-side silly-window avoidance + Nagle: never emit a partial
       // segment while (a) more data is queued but the window is pinching
       // us, or (b) unacknowledged data is outstanding. Without this, one
       // short segment (e.g. an HTTP header) misaligns the stream and every
       // window opening ships a tiny segment forever.
-      if (take < sendq_.size()) break;            // window-limited: wait
+      if (take < unsent) break;                   // window-limited: wait
       if (inflight > 0 && !fin_queued_) break;    // Nagle: coalesce tail
     }
-    netbuf::MsgBuffer seg = sendq_.slice(0, take);
-    netbuf::MsgBuffer rest =
-        sendq_.slice(take, sendq_.size() - take);
-    sendq_ = std::move(rest);
-    inflight_.emplace(snd_nxt_, seg);
-    emit_segment(kTcpPsh, snd_nxt_, std::move(seg));
+    inflight_.push_back(take);
+    emit_segment(kTcpPsh, snd_nxt_, sendq_.slice(sent_, take));
+    sent_ += take;
     snd_nxt_ += take;
   }
-  if (fin_queued_ && !fin_sent_ && sendq_.empty()) {
+  if (fin_queued_ && !fin_sent_ && queued_bytes() == 0) {
     fin_sent_ = true;
     emit_segment(kTcpFin, snd_nxt_, {});
     snd_nxt_ += 1;
@@ -199,8 +198,7 @@ void TcpConnection::retransmit_front(bool fast) {
     emit_segment(kTcpSyn | kTcpAck, iss_, {});
     return;
   }
-  auto it = inflight_.begin();
-  if (it == inflight_.end()) {
+  if (inflight_.empty()) {
     if (fin_sent_) {
       emit_segment(kTcpFin, snd_nxt_ - 1, {});
     }
@@ -208,7 +206,7 @@ void TcpConnection::retransmit_front(bool fast) {
   }
   ++stats_.retransmits;
   if (fast) ++stats_.fast_retransmits;
-  emit_segment(kTcpPsh, it->first, it->second);
+  emit_segment(kTcpPsh, sendq_seq_, sendq_.slice(0, inflight_.front()));
 }
 
 void TcpConnection::handle_ack(std::uint32_t ack) {
@@ -226,15 +224,16 @@ void TcpConnection::handle_ack(std::uint32_t ack) {
   dup_ack_count_ = 0;
   snd_una_ = ack;
   rto_ = kInitialRto;
-  while (!inflight_.empty()) {
-    auto it = inflight_.begin();
-    std::uint32_t end = it->first + std::uint32_t(it->second.size());
-    if (seq_le(end, ack)) {
-      inflight_.erase(it);
-    } else {
-      break;
-    }
+  while (!inflight_.empty() && seq_le(sendq_seq_ + inflight_.front(), ack)) {
+    std::uint32_t len = inflight_.front();
+    inflight_.pop_front();
+    sendq_.consume(len);
+    sendq_seq_ += len;
+    sent_ -= len;
   }
+  // Idle connections vastly outnumber busy ones; hold no queue storage
+  // while nothing is in flight.
+  if (inflight_.empty()) inflight_.release();
   if (snd_una_ == snd_nxt_) {
     ++rto_epoch_;  // cancel pending RTO: nothing outstanding
   } else {
@@ -243,15 +242,19 @@ void TcpConnection::handle_ack(std::uint32_t ack) {
   pump();
 }
 
+void TcpConnection::deliver(netbuf::MsgBuffer data) {
+  rcv_nxt_ += std::uint32_t(data.size());
+  stats_.bytes_received += data.size();
+  if (on_data_) on_data_(std::move(data));
+}
+
 void TcpConnection::deliver_in_order() {
   while (true) {
     auto it = ooo_.find(rcv_nxt_);
     if (it == ooo_.end()) break;
     netbuf::MsgBuffer data = std::move(it->second);
     ooo_.erase(it);
-    rcv_nxt_ += std::uint32_t(data.size());
-    stats_.bytes_received += data.size();
-    if (on_data_) on_data_(std::move(data));
+    deliver(std::move(data));
   }
   if (peer_fin_ && rcv_nxt_ == peer_fin_seq_) {
     rcv_nxt_ = peer_fin_seq_ + 1;
@@ -321,12 +324,16 @@ void TcpConnection::on_segment(const TcpHeader& h, netbuf::MsgBuffer payload) {
       emit_ack_now();
     } else {
       if (seq_lt(seg_seq, rcv_nxt_)) {
-        std::uint32_t trim = rcv_nxt_ - seg_seq;
-        payload = payload.slice(trim, seg_len - trim);
+        payload.consume(rcv_nxt_ - seg_seq);
         seg_seq = rcv_nxt_;
       }
       if (seg_seq == rcv_nxt_) {
-        ooo_.emplace(seg_seq, std::move(payload));
+        // The common case, nothing reordered: straight to the application.
+        if (ooo_.empty()) {
+          deliver(std::move(payload));
+        } else {
+          ooo_.emplace(seg_seq, std::move(payload));
+        }
         deliver_in_order();
         advanced = true;
         maybe_delayed_ack();

@@ -10,12 +10,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
 
+#include "common/ring_queue.h"
 #include "netbuf/msg_buffer.h"
 #include "proto/headers.h"
 #include "sim/event_loop.h"
@@ -85,7 +85,8 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   State state() const noexcept { return state_; }
   bool established() const noexcept { return state_ == State::Established; }
   std::size_t unacked_bytes() const noexcept { return snd_nxt_ - snd_una_; }
-  std::size_t queued_bytes() const noexcept { return sendq_.size(); }
+  /// Stream bytes queued but not yet sent.
+  std::size_t queued_bytes() const noexcept { return sendq_.size() - sent_; }
   const TcpStats& stats() const noexcept { return stats_; }
 
   Ipv4Addr local_ip() const noexcept { return local_ip_; }
@@ -110,6 +111,8 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void on_rto();
   void retransmit_front(bool fast);
   void handle_ack(std::uint32_t ack);
+  /// Hands the next in-order stretch of the stream to the application.
+  void deliver(netbuf::MsgBuffer data);
   void deliver_in_order();
   void enter(State s);
   void fire_close();
@@ -128,9 +131,16 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::uint32_t snd_una_;
   std::uint32_t snd_nxt_;
   std::uint32_t peer_window_ = kWindow;
-  netbuf::MsgBuffer sendq_;      ///< unsent stream data
+  /// Stream data from the oldest unacknowledged segment on: its first
+  /// `sent_` bytes are in flight, the rest is unsent. Acked segments are
+  /// consumed from the front, so a retransmission re-slices the front.
+  netbuf::MsgBuffer sendq_;
   std::uint32_t sendq_seq_ = 0;  ///< seq of sendq_ front
-  std::map<std::uint32_t, netbuf::MsgBuffer> inflight_;  ///< seq -> segment
+  std::size_t sent_ = 0;
+  /// Lengths of the in-flight segments, oldest first. Kept in send order
+  /// rather than keyed by sequence number, so the oldest segment stays at
+  /// the front across a 32-bit sequence wrap.
+  RingQueue<std::uint32_t> inflight_;
   bool fin_queued_ = false;
   bool fin_sent_ = false;
   std::uint32_t dup_ack_count_ = 0;

@@ -28,10 +28,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <deque>
 #include <string>
 #include <vector>
 
+#include "common/ring_queue.h"
 #include "common/task.h"
 #include "sim/event_loop.h"
 
@@ -168,7 +168,7 @@ class CpuModel {
     std::uint64_t items = 0;
     /// Completion callbacks in finish order (per-core finish times are
     /// monotone, so a FIFO matches the schedule order exactly).
-    std::deque<InlineCallback> done_q;
+    RingQueue<InlineCallback> done_q;
   };
 
   unsigned context_core() const noexcept {

@@ -49,7 +49,8 @@ struct NicSpec {
   proto::MacAddr mac = 0;
   proto::Ipv4Addr ip = 0;
   std::uint64_t bandwidth_bps = 0;          ///< 0: costs.link_bandwidth_bps
-  std::optional<sim::Duration> latency_ns;  ///< unset: costs.link_latency_ns
+  /// Unset: costs.link_latency_ns.
+  std::optional<sim::Duration> latency_ns = std::nullopt;
   proto::EthernetSwitch* ether = nullptr;   ///< nullptr: caller's default
 };
 

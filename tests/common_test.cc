@@ -162,7 +162,9 @@ TEST(Zipf, PmfSumsToOneAndIsMonotone) {
   double sum = 0;
   for (std::size_t i = 0; i < z.size(); ++i) {
     sum += z.pmf(i);
-    if (i > 0) EXPECT_LE(z.pmf(i), z.pmf(i - 1) + 1e-12);
+    if (i > 0) {
+      EXPECT_LE(z.pmf(i), z.pmf(i - 1) + 1e-12);
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
 }

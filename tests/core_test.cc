@@ -11,6 +11,7 @@
 namespace ncache::core {
 namespace {
 
+using netbuf::ByteSeg;
 using netbuf::CacheKey;
 using netbuf::FhoKey;
 using netbuf::LbnKey;
@@ -55,12 +56,32 @@ TEST_F(CacheTest, InsertAndLookupLbn) {
   EXPECT_TRUE(cache.contains_lbn(7, 0));
   EXPECT_FALSE(cache.contains_lbn(7, 1));  // different target
 
-  auto got = cache.lookup(CacheKey(LbnKey{0, 7}));
-  ASSERT_TRUE(got);
+  const MsgBuffer* got = cache.lookup(CacheKey(LbnKey{0, 7}));
+  ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->to_bytes(), expected);
   EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_FALSE(cache.lookup(CacheKey(LbnKey{0, 8})));
+  EXPECT_EQ(cache.lookup(CacheKey(LbnKey{0, 8})), nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST_F(CacheTest, LookupPointsAtTheCachedChain) {
+  // lookup() hands out the chunk's own chain, not a copy: every lookup of
+  // a key sees the same object, sharing the inserted buffers.
+  auto cache = make_cache(1 << 20);
+  MsgBuffer chain = chain_of(4096, 2);
+  const auto* buf = std::get<ByteSeg>(chain.segments()[0]).buf.get();
+  ASSERT_TRUE(cache.insert_lbn(LbnKey{0, 9}, std::move(chain)));
+  ASSERT_TRUE(cache.insert_fho(FhoKey{4, 0}, chain_of(4096, 3)));
+  const MsgBuffer* a = cache.lookup(CacheKey(LbnKey{0, 9}));
+  const MsgBuffer* b = cache.lookup(CacheKey(LbnKey{0, 9}));
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(std::get<ByteSeg>(a->segments()[0]).buf.get(), buf);
+  // Remap forwarding resolves to the LBN chunk's chain itself.
+  ASSERT_TRUE(cache.remap(FhoKey{4, 0}, LbnKey{0, 10}));
+  EXPECT_EQ(cache.lookup(CacheKey(FhoKey{4, 0})),
+            cache.lookup(CacheKey(LbnKey{0, 10})));
+  EXPECT_EQ(cache.stats().hits, 4u);
 }
 
 TEST_F(CacheTest, PinnedBytesIncludeOverhead) {

@@ -138,7 +138,7 @@ TEST(Stack, FrameForOtherHostDropped) {
   f.ip.dst = make_ipv4(10, 0, 0, 99);
   f.ip.protocol = proto::IpProto::Udp;
   f.udp = proto::UdpHeader{1, 2, 8, 0};
-  t.stacks[1]->nic(0).deliver(std::move(f));
+  t.stacks[1]->nic(0).deliver(proto::box_frame(std::move(f)));
   t.loop.run();
   EXPECT_EQ(t.stacks[1]->stats().not_mine_drops, 1u);
 }

@@ -255,6 +255,217 @@ TEST(MsgBuffer, AppendSplicesWithoutCopy) {
   EXPECT_EQ(std::get_if<ByteSeg>(&b.segments()[0])->buf.get(), buf_before);
 }
 
+// ---- inline segment storage ---------------------------------------------------
+
+/// n one-byte-pattern segments of `len` bytes each, seeds 1..n.
+MsgBuffer chain_of(int n, std::size_t len = 100) {
+  MsgBuffer m;
+  for (int i = 0; i < n; ++i) {
+    m.append(MsgBuffer::from_bytes(pattern(len, i + 1)));
+  }
+  return m;
+}
+
+std::vector<std::byte> concat(int n, std::size_t len = 100) {
+  std::vector<std::byte> out;
+  for (int i = 0; i < n; ++i) {
+    auto p = pattern(len, i + 1);
+    out.insert(out.end(), p.begin(), p.end());
+  }
+  return out;
+}
+
+TEST(MsgBufferStorage, GrowsPastInlineSegments) {
+  const int n = int(MsgBuffer::kInlineSegments) * 4 + 1;
+  MsgBuffer m;
+  for (int i = 0; i < n; ++i) {
+    m.append(MsgBuffer::from_bytes(pattern(100, i + 1)));
+    ASSERT_EQ(m.segments().size(), std::size_t(i + 1));
+    ASSERT_EQ(m.size(), std::size_t(100 * (i + 1)));
+  }
+  EXPECT_EQ(m.to_bytes(), concat(n));
+  // Keys and junk survive the spill with their ranges intact.
+  m.append(MsgBuffer::from_key(LbnKey{0, 3}, 8, 64));
+  m.append(MsgBuffer::junk(5));
+  ASSERT_EQ(m.segments().size(), std::size_t(n + 2));
+  const auto* k = std::get_if<KeySeg>(&m.segments()[std::size_t(n)]);
+  ASSERT_TRUE(k);
+  EXPECT_EQ(k->off, 8u);
+  EXPECT_EQ(k->len, 64u);
+  EXPECT_TRUE(std::holds_alternative<JunkSeg>(m.segments().back()));
+}
+
+TEST(MsgBufferStorage, CopyAndMoveInBothStorageStates) {
+  for (int n : {int(MsgBuffer::kInlineSegments), 7}) {
+    SCOPED_TRACE(n);
+    MsgBuffer src = chain_of(n);
+    auto bytes = concat(n);
+
+    MsgBuffer copy(src);
+    EXPECT_EQ(copy.to_bytes(), bytes);
+    EXPECT_EQ(src.to_bytes(), bytes);  // the source is untouched
+    // A copy shares the NetBuffers but owns its segment array.
+    EXPECT_EQ(std::get<ByteSeg>(copy.segments()[0]).buf,
+              std::get<ByteSeg>(src.segments()[0]).buf);
+    EXPECT_NE(copy.segments().data(), src.segments().data());
+
+    MsgBuffer assigned = MsgBuffer::junk(3);
+    assigned = copy;
+    EXPECT_EQ(assigned.to_bytes(), bytes);
+
+    const Segment* storage = src.segments().data();
+    MsgBuffer moved(std::move(src));
+    EXPECT_EQ(moved.to_bytes(), bytes);
+    EXPECT_TRUE(src.empty());
+    EXPECT_TRUE(src.segments().empty());
+    // Heap chains hand over their array; inline ones cannot.
+    EXPECT_EQ(moved.segments().data() == storage,
+              n > int(MsgBuffer::kInlineSegments));
+
+    MsgBuffer target = chain_of(5);
+    target = std::move(moved);
+    EXPECT_EQ(target.to_bytes(), bytes);
+    EXPECT_TRUE(moved.empty());
+
+    // Self-assignment in either form leaves the chain intact.
+    MsgBuffer& alias = target;
+    target = alias;
+    EXPECT_EQ(target.to_bytes(), bytes);
+    target = std::move(alias);
+    EXPECT_EQ(target.to_bytes(), bytes);
+
+    // A moved-from buffer is reusable.
+    src.append(MsgBuffer::from_bytes(pattern(4, 9)));
+    EXPECT_EQ(src.to_bytes(), pattern(4, 9));
+  }
+}
+
+TEST(MsgBufferStorage, ConsumeInsideFirstSegment) {
+  for (int n : {1, 6}) {
+    SCOPED_TRACE(n);
+    MsgBuffer m = chain_of(n);
+    auto bytes = concat(n);
+    m.consume(30);
+    EXPECT_EQ(m.size(), bytes.size() - 30);
+    EXPECT_EQ(m.segments().size(), std::size_t(n));
+    EXPECT_EQ(m.to_bytes(),
+              std::vector<std::byte>(bytes.begin() + 30, bytes.end()));
+    EXPECT_EQ(std::get<ByteSeg>(m.segments()[0]).off, 30u);
+    m.consume(0);  // a no-op, not a self-move of every segment
+    EXPECT_EQ(m.to_bytes(),
+              std::vector<std::byte>(bytes.begin() + 30, bytes.end()));
+  }
+  // Key and junk segments are re-ranged the same way.
+  MsgBuffer k = MsgBuffer::from_key(FhoKey{1, 0}, 100, 400);
+  k.append(MsgBuffer::junk(50));
+  k.consume(150);
+  const auto* key = std::get_if<KeySeg>(&k.segments()[0]);
+  ASSERT_TRUE(key);
+  EXPECT_EQ(key->off, 250u);
+  EXPECT_EQ(key->len, 250u);
+  k.consume(270);
+  ASSERT_EQ(k.segments().size(), 1u);
+  EXPECT_EQ(std::get<JunkSeg>(k.segments()[0]).len, 30u);
+}
+
+TEST(MsgBufferStorage, ConsumeAtSegmentBoundary) {
+  for (int n : {2, 6}) {
+    SCOPED_TRACE(n);
+    MsgBuffer m = chain_of(n);
+    auto bytes = concat(n);
+    m.consume(100);
+    EXPECT_EQ(m.segments().size(), std::size_t(n - 1));
+    EXPECT_EQ(m.to_bytes(),
+              std::vector<std::byte>(bytes.begin() + 100, bytes.end()));
+    EXPECT_EQ(std::get<ByteSeg>(m.segments()[0]).off, 0u);
+    // Consumed-then-appended chains keep their order and contents.
+    m.append(MsgBuffer::from_bytes(pattern(100, 42)));
+    auto tail = pattern(100, 42);
+    bytes.insert(bytes.end(), tail.begin(), tail.end());
+    EXPECT_EQ(m.to_bytes(),
+              std::vector<std::byte>(bytes.begin() + 100, bytes.end()));
+    EXPECT_EQ(m.slice(0, m.size()).to_bytes(), m.to_bytes());
+  }
+}
+
+TEST(MsgBufferStorage, ConsumeWholeBufferEmptiesIt) {
+  for (int n : {1, 6}) {
+    SCOPED_TRACE(n);
+    MsgBuffer m = chain_of(n);
+    m.consume(m.size());
+    EXPECT_TRUE(m.empty());
+    EXPECT_TRUE(m.segments().empty());
+    EXPECT_THROW(m.consume(1), std::out_of_range);
+    m.append(MsgBuffer::from_bytes(pattern(8, 3)));
+    EXPECT_EQ(m.to_bytes(), pattern(8, 3));
+  }
+  MsgBuffer m = chain_of(3);
+  EXPECT_THROW(m.consume(301), std::out_of_range);
+  EXPECT_EQ(m.size(), 300u);
+}
+
+TEST(MsgBufferStorage, ConsumeMatchesSlice) {
+  // consume(k) leaves exactly what slice(k, rest) would, segment by
+  // segment, at every offset of a mixed chain.
+  MsgBuffer m = chain_of(3, 7);
+  m.append(MsgBuffer::from_key(LbnKey{0, 1}, 4, 9));
+  m.append(MsgBuffer::junk(6));
+  for (std::size_t k = 0; k <= m.size(); ++k) {
+    SCOPED_TRACE(k);
+    MsgBuffer c = m;
+    c.consume(k);
+    MsgBuffer s = m.slice(k, m.size() - k);
+    ASSERT_EQ(c.size(), s.size());
+    ASSERT_EQ(c.segments().size(), s.segments().size());
+    for (std::size_t i = 0; i < c.segments().size(); ++i) {
+      EXPECT_EQ(seg_len(c.segments()[i]), seg_len(s.segments()[i]));
+      EXPECT_EQ(c.segments()[i].index(), s.segments()[i].index());
+    }
+    EXPECT_EQ(c.to_bytes(), s.to_bytes());
+  }
+}
+
+TEST(MsgBufferStorage, AppendIntoEmptyTakesOverStorage) {
+  MsgBuffer big = chain_of(6);
+  const Segment* storage = big.segments().data();
+  MsgBuffer dst;
+  dst.append(std::move(big));
+  EXPECT_EQ(dst.segments().data(), storage);
+  EXPECT_EQ(dst.to_bytes(), concat(6));
+  EXPECT_TRUE(big.empty());
+
+  // Into a non-empty buffer the segments are spliced after the existing
+  // ones, spilling past the inline array as needed.
+  MsgBuffer two = chain_of(2);
+  two.append(chain_of(3));
+  ASSERT_EQ(two.segments().size(), 5u);
+  auto expect = concat(2);
+  auto more = concat(3);
+  expect.insert(expect.end(), more.begin(), more.end());
+  EXPECT_EQ(two.to_bytes(), expect);
+
+  // An empty append changes nothing.
+  two.append(MsgBuffer{});
+  EXPECT_EQ(two.segments().size(), 5u);
+}
+
+TEST(MsgBufferStorage, RefusesMessagesOfFourGigabytes) {
+  MsgBuffer m = MsgBuffer::junk(0xffffffffu);
+  EXPECT_THROW(m.append(MsgBuffer::junk(1)), std::length_error);
+  EXPECT_THROW(m.append(JunkSeg{1}), std::length_error);
+  EXPECT_EQ(m.size(), 0xffffffffu);
+  EXPECT_EQ(m.segments().size(), 1u);
+}
+
+TEST(MsgBufferStorage, ClearReleasesAndResets) {
+  MsgBuffer m = chain_of(9);
+  m.clear();
+  EXPECT_TRUE(m.empty());
+  EXPECT_TRUE(m.segments().empty());
+  m.append(MsgBuffer::from_bytes(pattern(3)));
+  EXPECT_EQ(m.size(), 3u);
+}
+
 class CopyEngineTest : public ::testing::Test {
  protected:
   sim::EventLoop loop_;

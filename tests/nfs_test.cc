@@ -80,6 +80,27 @@ TEST(NfsProtocol, ArgsRoundTrip) {
   }
 }
 
+TEST(NfsProtocol, EncodeWritesExactlyWireBytes) {
+  // encode() sizes its output from wire_bytes(); it must produce the same
+  // bytes as serializing into a growing vector, padding included.
+  auto same = [](const auto& msg) {
+    std::vector<std::byte> grown;
+    ByteWriter w(grown);
+    msg.serialize(w);
+    EXPECT_EQ(encode(msg), grown);
+  };
+  same(GetattrArgs{3});
+  same(LookupArgs{7, ""});
+  same(LookupArgs{7, "abcd"});
+  same(LookupArgs{7, "file.txt!"});
+  same(ReadArgs{9, 65536, 32768});
+  same(WriteArgs{9, 4096, 8192});
+  same(RenameArgs{1, "a", 2, "bcdefg"});
+  same(SetattrArgs{5, 100});
+  same(CreateArgs{1, "new", fs::InodeType::Directory});
+  same(Fattr{fs::InodeType::File, 123, 1});
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end fixture
 // ---------------------------------------------------------------------------

@@ -104,6 +104,31 @@ Frame make_fragment(std::uint16_t id, std::uint32_t data_off,
   return f;
 }
 
+TEST(FrameBox, RecyclesStorageAndDestroysContents) {
+  // A released box returns to the free list with its frame destroyed (the
+  // payload's buffer reference dropped); the next box reuses the storage
+  // and holds only the new frame.
+  auto buf = netbuf::make_buffer(64);
+  buf->put(64);
+  Frame f;
+  f.ip.id = 7;
+  f.payload = MsgBuffer::wrap(buf);
+  FrameBox a = box_frame(std::move(f));
+  EXPECT_EQ(buf.use_count(), 2);
+  const Frame* storage = a.get();
+  a.reset();
+  EXPECT_EQ(buf.use_count(), 1);
+
+  Frame g;
+  g.ip.id = 9;
+  g.payload = MsgBuffer::junk(5);
+  FrameBox b = box_frame(std::move(g));
+  EXPECT_EQ(b.get(), storage);
+  EXPECT_EQ(b->ip.id, 9);
+  EXPECT_EQ(b->payload.size(), 5u);
+  EXPECT_TRUE(b->payload.has_junk());
+}
+
 TEST(Reassembly, InOrderFragments) {
   sim::EventLoop loop;
   IpReassembler ra(loop);

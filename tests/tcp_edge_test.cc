@@ -218,5 +218,59 @@ TEST(TcpEdge, ZeroByteSendIsNoop) {
   EXPECT_EQ(conn->stats().segments_sent, segs);
 }
 
+TEST(TcpEdge, RetransmitAcrossSequenceWrap) {
+  // Two bare connections joined by a 10 us wire. The sender's ISS puts
+  // its sequence space 4 KB before the 32-bit wrap, and its first data
+  // segment is lost: recovery must resend that segment (the oldest one,
+  // sent before the wrap), not whichever segment has the lowest raw
+  // sequence number.
+  sim::EventLoop loop;
+  TcpConnectionPtr a;
+  TcpConnectionPtr b;
+  bool b_open = false;
+  int data_segments = 0;
+  auto wire = [&loop](TcpConnectionPtr* to, bool* open_on_syn) {
+    return [&loop, to, open_on_syn](TcpConnection&, TcpHeader h,
+                                    MsgBuffer payload) {
+      loop.schedule_in(10 * sim::kMicrosecond,
+                       [to, open_on_syn, h, p = std::move(payload)]() mutable {
+                         if (open_on_syn && !*open_on_syn) {
+                           *open_on_syn = true;
+                           (*to)->open_passive(h.seq);
+                           return;
+                         }
+                         (*to)->on_segment(h, std::move(p));
+                       });
+    };
+  };
+  auto to_b = wire(&b, &b_open);
+  a = std::make_shared<TcpConnection>(
+      loop, make_ipv4(10, 0, 0, 1), 4000, make_ipv4(10, 0, 0, 2), 80,
+      0xFFFFF000u, [&](TcpConnection& c, TcpHeader h, MsgBuffer payload) {
+        if (!payload.empty() && ++data_segments == 1) return;  // lost
+        to_b(c, h, std::move(payload));
+      });
+  b = std::make_shared<TcpConnection>(loop, make_ipv4(10, 0, 0, 2), 80,
+                                      make_ipv4(10, 0, 0, 1), 4000, 5000,
+                                      wire(&a, nullptr));
+  std::vector<std::byte> got;
+  b->set_data_handler([&](MsgBuffer m) {
+    auto bytes = m.to_bytes();
+    got.insert(got.end(), bytes.begin(), bytes.end());
+  });
+  a->open_active();
+  loop.run_until(sim::kMillisecond);
+  ASSERT_TRUE(a->established());
+  ASSERT_TRUE(b->established());
+
+  auto data = pattern(65000);
+  a->send(MsgBuffer::from_bytes(data));
+  loop.run_until(30 * sim::kSecond);
+  EXPECT_EQ(got.size(), data.size());
+  EXPECT_EQ(got, data);
+  EXPECT_EQ(a->unacked_bytes(), 0u);
+  EXPECT_GT(a->stats().retransmits, 0u);
+}
+
 }  // namespace
 }  // namespace ncache::proto
