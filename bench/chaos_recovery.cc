@@ -141,7 +141,7 @@ json::Value run_burst_loss(const BenchOptions& opts) {
 
   auto row = base_row("burst_loss_server_hop", cfg.mode, t, fault_at, bucket);
   auto c = json::Value::object();
-  c.set("frames_dropped", inj.frames_dropped());
+  c.set("frames_dropped", inj.stats().frames_dropped);
   c.set("burst_windows", inj.stats().burst_windows);
   c.set("nfs_retransmits", tb.nfs_client(0).stats().retransmits);
   row.set("counters", std::move(c));

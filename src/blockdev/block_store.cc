@@ -35,31 +35,17 @@ void DiskModel::access(std::uint64_t offset, std::size_t bytes,
   next_sequential_offset_ = offset + bytes;
   ++requests_;
 
-  sim::Time start = std::max(loop_.now(), idle_at_);
-  sim::Time finish = start + cost;
-  idle_at_ = finish;
-  sim::Time acct = std::max(start, window_start_);
-  if (finish > acct) busy_ns_ += finish - acct;
-  loop_.schedule_at(finish, std::move(done));
+  loop_.schedule_at(window_.book(loop_.now(), cost), std::move(done));
 }
 
-double DiskModel::utilization() const noexcept {
-  sim::Time now = loop_.now();
-  if (now <= window_start_) return 0.0;
-  sim::Duration busy = busy_ns_;
-  if (idle_at_ > now) {
-    sim::Duration future = idle_at_ - now;
-    busy = busy > future ? busy - future : 0;
-  }
-  return std::min(1.0, double(busy) / double(now - window_start_));
-}
-
-void DiskModel::reset_stats() noexcept {
-  busy_ns_ = 0;
-  requests_ = 0;
-  seeks_ = 0;
-  window_start_ = loop_.now();
-  if (idle_at_ > window_start_) busy_ns_ = idle_at_ - window_start_;
+void DiskModel::register_metrics(MetricRegistry& registry,
+                                 const std::string& node,
+                                 const std::string& prefix) {
+  registry.counter(node, prefix + ".requests", &requests_);
+  registry.counter(node, prefix + ".seeks", &seeks_);
+  registry.gauge(node, prefix + ".utilization",
+                 [this] { return utilization(); });
+  registry.on_reset([this] { window_.restart(loop_.now()); });
 }
 
 Raid0::Raid0(sim::EventLoop& loop, const sim::CostModel& costs,
@@ -104,10 +90,6 @@ void Raid0::access(std::uint64_t offset, std::size_t bytes,
     });
     pos += extent;
   }
-}
-
-void Raid0::reset_stats() noexcept {
-  for (auto& d : disks_) d->reset_stats();
 }
 
 BlockStore::BlockStore(sim::EventLoop& loop, const sim::CostModel& costs,
@@ -274,21 +256,14 @@ std::vector<std::byte> BlockStore::peek(std::uint64_t lbn,
 
 void BlockStore::register_metrics(MetricRegistry& registry,
                                   const std::string& node) {
-  registry.counter(node, "disk.reads", [this] { return reads_; });
-  registry.counter(node, "disk.writes", [this] { return writes_; });
-  registry.counter(node, "disk.read_errors", [this] { return read_errors_; });
-  registry.counter(node, "disk.checksum_mismatches",
-                   [this] { return checksum_mismatches_; });
+  registry.counter(node, "disk.reads", &reads_);
+  registry.counter(node, "disk.writes", &writes_);
+  registry.counter(node, "disk.read_errors", &read_errors_);
+  registry.counter(node, "disk.checksum_mismatches", &checksum_mismatches_);
   for (unsigned i = 0; i < raid_.disk_count(); ++i) {
-    DiskModel* d = &raid_.disk(i);
-    std::string prefix = "disk" + std::to_string(i);
-    registry.counter(node, prefix + ".requests",
-                     [d] { return d->requests(); });
-    registry.counter(node, prefix + ".seeks", [d] { return d->seeks(); });
-    registry.gauge(node, prefix + ".utilization",
-                   [d] { return d->utilization(); });
+    raid_.disk(i).register_metrics(registry, node,
+                                   "disk" + std::to_string(i));
   }
-  registry.on_reset([this] { raid_.reset_stats(); });
 }
 
 }  // namespace ncache::blockdev

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/task.h"
+#include "sim/busy_window.h"
 #include "sim/cost_model.h"
 #include "sim/cpu_model.h"
 #include "sim/event_loop.h"
@@ -42,19 +43,24 @@ class DiskModel {
 
   std::uint64_t requests() const noexcept { return requests_; }
   std::uint64_t seeks() const noexcept { return seeks_; }
-  double utilization() const noexcept;
-  void reset_stats() noexcept;
+  /// Busy fraction of the current window.
+  double utilization() const noexcept {
+    return window_.utilization(loop_.now());
+  }
+
+  /// Publishes <prefix>.requests / .seeks / .utilization under `node` and
+  /// restarts the busy window on every registry reset.
+  void register_metrics(MetricRegistry& registry, const std::string& node,
+                        const std::string& prefix);
 
  private:
   sim::EventLoop& loop_;
   const sim::CostModel& costs_;
   std::string name_;
-  sim::Time idle_at_ = 0;
   std::uint64_t next_sequential_offset_ = 0;
   std::uint64_t requests_ = 0;
   std::uint64_t seeks_ = 0;
-  sim::Duration busy_ns_ = 0;
-  sim::Time window_start_ = 0;
+  sim::BusyWindow window_;
 };
 
 /// RAID-0 over N spindles with a fixed stripe unit. A logical request is
@@ -70,7 +76,6 @@ class Raid0 {
 
   unsigned disk_count() const noexcept { return unsigned(disks_.size()); }
   DiskModel& disk(unsigned i) { return *disks_.at(i); }
-  void reset_stats() noexcept;
 
  private:
   sim::EventLoop& loop_;
@@ -144,8 +149,8 @@ class BlockStore {
     return checksum_mismatches_;
   }
 
-  /// Publishes disk.* request counters and per-spindle utilization gauges
-  /// under `node`; hooks the RAID stats reset into the registry reset.
+  /// Publishes disk.* request counters and every spindle's metrics under
+  /// `node`.
   void register_metrics(MetricRegistry& registry, const std::string& node);
 
  private:

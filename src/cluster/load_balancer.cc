@@ -272,24 +272,17 @@ void LoadBalancer::broadcast_membership() {
 
 void LoadBalancer::register_metrics(MetricRegistry& registry,
                                     const std::string& node) {
-  registry.counter(node, "lb.forwards", [this] { return stats_.forwards; });
-  registry.counter(node, "lb.replies", [this] { return stats_.replies; });
-  registry.counter(node, "lb.drops_no_member",
-                   [this] { return stats_.drops_no_member; });
-  registry.counter(node, "lb.content_routes",
-                   [this] { return stats_.content_routes; });
-  registry.counter(node, "lb.flow_routes",
-                   [this] { return stats_.flow_routes; });
-  registry.counter(node, "lb.heartbeats_sent",
-                   [this] { return stats_.heartbeats_sent; });
-  registry.counter(node, "lb.acks_received",
-                   [this] { return stats_.acks_received; });
-  registry.counter(node, "lb.rebalances",
-                   [this] { return stats_.rebalances; });
+  registry.counter(node, "lb.forwards", &stats_.forwards);
+  registry.counter(node, "lb.replies", &stats_.replies);
+  registry.counter(node, "lb.drops_no_member", &stats_.drops_no_member);
+  registry.counter(node, "lb.content_routes", &stats_.content_routes);
+  registry.counter(node, "lb.flow_routes", &stats_.flow_routes);
+  registry.counter(node, "lb.heartbeats_sent", &stats_.heartbeats_sent);
+  registry.counter(node, "lb.acks_received", &stats_.acks_received);
+  registry.counter(node, "lb.rebalances", &stats_.rebalances);
   registry.counter(node, "lb.membership_broadcasts",
-                   [this] { return stats_.membership_broadcasts; });
-  registry.counter(node, "lb.flaps_suppressed",
-                   [this] { return stats_.flaps_suppressed; });
+                   &stats_.membership_broadcasts);
+  registry.counter(node, "lb.flaps_suppressed", &stats_.flaps_suppressed);
   registry.gauge(node, "lb.live_members",
                  [this] { return double(ring_.member_count()); });
   registry.gauge(node, "lb.ring_points",
@@ -304,13 +297,10 @@ void LoadBalancer::register_metrics(MetricRegistry& registry,
   if (config_.admission.enabled) {
     // Admission metrics exist only when the feature is on, keeping a
     // disabled run's metrics JSON byte-identical.
-    registry.counter(node, "overload.admitted",
-                     [this] { return stats_.admitted; });
-    registry.counter(node, "overload.shed",
-                     [this] { return stats_.admission_shed; });
+    registry.counter(node, "overload.admitted", &stats_.admitted);
+    registry.counter(node, "overload.shed", &stats_.admission_shed);
     registry.gauge(node, "overload.rate", [this] { return aimd_.rate(); });
   }
-  registry.on_reset([this] { reset_stats(); });
 }
 
 }  // namespace ncache::cluster

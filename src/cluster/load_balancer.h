@@ -115,7 +115,6 @@ class LoadBalancer {
 
   const Config& config() const noexcept { return config_; }
   const LbStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = LbStats{}; }
 
   /// Last queue depth member `id` piggybacked on a heartbeat ack
   /// (0 = never reported / reported idle).

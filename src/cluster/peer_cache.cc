@@ -772,63 +772,42 @@ void PeerCache::handle_digest_reply(ByteReader& head) {
 
 void PeerCache::register_metrics(MetricRegistry& registry,
                                  const std::string& node) {
-  registry.counter(node, "peer.fetches_sent",
-                   [this] { return stats_.fetches_sent; });
-  registry.counter(node, "peer.hits", [this] { return stats_.peer_hits; });
-  registry.counter(node, "peer.misses", [this] { return stats_.peer_misses; });
-  registry.counter(node, "peer.fetch_timeouts",
-                   [this] { return stats_.fetch_timeouts; });
-  registry.counter(node, "peer.serve_hits",
-                   [this] { return stats_.serve_hits; });
-  registry.counter(node, "peer.serve_misses",
-                   [this] { return stats_.serve_misses; });
-  registry.counter(node, "peer.pushes", [this] { return stats_.pushes; });
-  registry.counter(node, "peer.invalidates_sent",
-                   [this] { return stats_.invalidates_sent; });
+  registry.counter(node, "peer.fetches_sent", &stats_.fetches_sent);
+  registry.counter(node, "peer.hits", &stats_.peer_hits);
+  registry.counter(node, "peer.misses", &stats_.peer_misses);
+  registry.counter(node, "peer.fetch_timeouts", &stats_.fetch_timeouts);
+  registry.counter(node, "peer.serve_hits", &stats_.serve_hits);
+  registry.counter(node, "peer.serve_misses", &stats_.serve_misses);
+  registry.counter(node, "peer.pushes", &stats_.pushes);
+  registry.counter(node, "peer.invalidates_sent", &stats_.invalidates_sent);
   registry.counter(node, "peer.invalidates_received",
-                   [this] { return stats_.invalidates_received; });
-  registry.counter(node, "peer.blocks_invalidated",
-                   [this] { return stats_.blocks_invalidated; });
-  registry.counter(node, "peer.transfers_sent",
-                   [this] { return stats_.transfers_sent; });
-  registry.counter(node, "peer.transfers_received",
-                   [this] { return stats_.transfers_received; });
-  registry.counter(node, "peer.blocks_transferred",
-                   [this] { return stats_.blocks_transferred; });
-  registry.counter(node, "peer.membership_updates",
-                   [this] { return stats_.membership_updates; });
+                   &stats_.invalidates_received);
+  registry.counter(node, "peer.blocks_invalidated", &stats_.blocks_invalidated);
+  registry.counter(node, "peer.transfers_sent", &stats_.transfers_sent);
+  registry.counter(node, "peer.transfers_received", &stats_.transfers_received);
+  registry.counter(node, "peer.blocks_transferred", &stats_.blocks_transferred);
+  registry.counter(node, "peer.membership_updates", &stats_.membership_updates);
   registry.counter(node, "peer.heartbeats_answered",
-                   [this] { return stats_.heartbeats_answered; });
-  registry.counter(node, "peer.retransmits",
-                   [this] { return stats_.retransmits; });
-  registry.counter(node, "peer.invalidate_acks",
-                   [this] { return stats_.invalidate_acks; });
-  registry.counter(node, "peer.pending_overflow",
-                   [this] { return stats_.pending_overflow; });
-  registry.counter(node, "peer.reliable_expired",
-                   [this] { return stats_.reliable_expired; });
-  registry.counter(node, "peer.fenced_refusals",
-                   [this] { return stats_.fenced_refusals; });
-  registry.counter(node, "peer.ownership_refusals",
-                   [this] { return stats_.ownership_refusals; });
+                   &stats_.heartbeats_answered);
+  registry.counter(node, "peer.retransmits", &stats_.retransmits);
+  registry.counter(node, "peer.invalidate_acks", &stats_.invalidate_acks);
+  registry.counter(node, "peer.pending_overflow", &stats_.pending_overflow);
+  registry.counter(node, "peer.reliable_expired", &stats_.reliable_expired);
+  registry.counter(node, "peer.fenced_refusals", &stats_.fenced_refusals);
+  registry.counter(node, "peer.ownership_refusals", &stats_.ownership_refusals);
   registry.counter(node, "peer.stale_replies_rejected",
-                   [this] { return stats_.stale_replies_rejected; });
+                   &stats_.stale_replies_rejected);
   registry.counter(node, "peer.stale_epoch_ignored",
-                   [this] { return stats_.stale_epoch_ignored; });
-  registry.counter(node, "peer.digests_sent",
-                   [this] { return stats_.digests_sent; });
-  registry.counter(node, "peer.digests_answered",
-                   [this] { return stats_.digests_answered; });
-  registry.counter(node, "peer.repair_drops",
-                   [this] { return stats_.repair_drops; });
-  registry.counter(node, "peer.repair_rounds",
-                   [this] { return stats_.repair_rounds; });
+                   &stats_.stale_epoch_ignored);
+  registry.counter(node, "peer.digests_sent", &stats_.digests_sent);
+  registry.counter(node, "peer.digests_answered", &stats_.digests_answered);
+  registry.counter(node, "peer.repair_drops", &stats_.repair_drops);
+  registry.counter(node, "peer.repair_rounds", &stats_.repair_rounds);
   registry.gauge(node, "peer.ring_members",
                  [this] { return double(ring_.member_count()); });
   registry.gauge(node, "peer.epoch", [this] { return double(epoch_); });
   registry.gauge(node, "peer.pending_reliable",
                  [this] { return double(reliable_.size()); });
-  registry.on_reset([this] { reset_stats(); });
 }
 
 // ---- PeerBlockClient ---------------------------------------------------------
@@ -909,13 +888,9 @@ Task<bool> PeerBlockClient::write_blocks(std::uint64_t lbn, MsgBuffer data,
 
 void PeerBlockClient::register_metrics(MetricRegistry& registry,
                                        const std::string& node) {
-  registry.counter(node, "peer.reads_local",
-                   [this] { return stats_.local_reads; });
-  registry.counter(node, "peer.reads_peer",
-                   [this] { return stats_.peer_reads; });
-  registry.counter(node, "peer.reads_target",
-                   [this] { return stats_.target_reads; });
-  registry.on_reset([this] { reset_stats(); });
+  registry.counter(node, "peer.reads_local", &stats_.local_reads);
+  registry.counter(node, "peer.reads_peer", &stats_.peer_reads);
+  registry.counter(node, "peer.reads_target", &stats_.target_reads);
 }
 
 }  // namespace ncache::cluster

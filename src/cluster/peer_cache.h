@@ -210,7 +210,6 @@ class PeerCache {
   const HashRing& ring() const noexcept { return ring_; }
   const Config& config() const noexcept { return config_; }
   const PeerCacheStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = PeerCacheStats{}; }
 
   /// Publishes peer.* counters and ring gauges under `node`.
   void register_metrics(MetricRegistry& registry, const std::string& node);
@@ -345,7 +344,6 @@ class PeerBlockClient final : public iscsi::BlockClient {
                           bool metadata) override;
 
   const PeerBlockClientStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = PeerBlockClientStats{}; }
   void register_metrics(MetricRegistry& registry, const std::string& node);
 
  private:

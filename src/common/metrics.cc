@@ -2,32 +2,60 @@
 
 namespace ncache {
 
-void MetricRegistry::counter(std::string node, std::string name, U64Fn fn) {
-  metrics_.push_back(Metric{std::move(node), std::move(name),
-                            MetricKind::Counter, std::move(fn), {}, nullptr});
+void MetricRegistry::counter(std::string node, std::string name,
+                             std::uint64_t* cell) {
+  metrics_.push_back(Metric{.node = std::move(node),
+                            .name = std::move(name),
+                            .kind = MetricKind::Counter,
+                            .cell = cell});
+}
+
+void MetricRegistry::bytes(std::string node, std::string name,
+                           std::uint64_t* cell) {
+  metrics_.push_back(Metric{.node = std::move(node),
+                            .name = std::move(name),
+                            .kind = MetricKind::Bytes,
+                            .cell = cell});
+}
+
+void MetricRegistry::computed_counter(std::string node, std::string name,
+                                      U64Fn fn) {
+  metrics_.push_back(Metric{.node = std::move(node),
+                            .name = std::move(name),
+                            .kind = MetricKind::Counter,
+                            .u64 = std::move(fn)});
 }
 
 void MetricRegistry::gauge(std::string node, std::string name, F64Fn fn) {
-  metrics_.push_back(Metric{std::move(node), std::move(name), MetricKind::Gauge,
-                            {}, std::move(fn), nullptr});
+  metrics_.push_back(Metric{.node = std::move(node),
+                            .name = std::move(name),
+                            .kind = MetricKind::Gauge,
+                            .f64 = std::move(fn)});
 }
 
-void MetricRegistry::bytes(std::string node, std::string name, U64Fn fn) {
-  metrics_.push_back(Metric{std::move(node), std::move(name), MetricKind::Bytes,
-                            std::move(fn), {}, nullptr});
+void MetricRegistry::window_max(std::string node, std::string name,
+                                std::uint64_t* cell) {
+  metrics_.push_back(Metric{.node = std::move(node),
+                            .name = std::move(name),
+                            .kind = MetricKind::Gauge,
+                            .cell = cell});
 }
 
 void MetricRegistry::histogram(std::string node, std::string name,
-                               const LatencyHistogram* h) {
-  metrics_.push_back(
-      Metric{std::move(node), std::move(name), MetricKind::Histogram, {}, {}, h});
+                               LatencyHistogram* h) {
+  metrics_.push_back(Metric{.node = std::move(node),
+                            .name = std::move(name),
+                            .kind = MetricKind::Histogram,
+                            .hist = h});
 }
 
 void MetricRegistry::host_counter(std::string node, std::string name,
                                   U64Fn fn) {
-  metrics_.push_back(Metric{std::move(node), std::move(name),
-                            MetricKind::Counter, std::move(fn), {}, nullptr,
-                            true});
+  metrics_.push_back(Metric{.node = std::move(node),
+                            .name = std::move(name),
+                            .kind = MetricKind::Counter,
+                            .u64 = std::move(fn),
+                            .host = true});
 }
 
 void MetricRegistry::on_reset(std::function<void()> fn) {
@@ -35,7 +63,30 @@ void MetricRegistry::on_reset(std::function<void()> fn) {
 }
 
 void MetricRegistry::reset_all() {
+  for (Metric& m : metrics_) {
+    if (m.cell) *m.cell = 0;
+    if (m.hist) m.hist->reset();
+  }
   for (auto& fn : reset_hooks_) fn();
+}
+
+std::uint64_t MetricRegistry::count_of(const Metric& m) {
+  switch (m.kind) {
+    case MetricKind::Counter:
+    case MetricKind::Bytes:
+      if (m.cell) return *m.cell;
+      return m.u64 ? m.u64() : 0;
+    case MetricKind::Histogram:
+      return m.hist ? m.hist->count() : 0;
+    case MetricKind::Gauge:
+      break;
+  }
+  return 0;
+}
+
+double MetricRegistry::value_of(const Metric& m) {
+  if (m.cell) return double(*m.cell);
+  return m.f64 ? m.f64() : 0.0;
 }
 
 std::vector<MetricRegistry::Sample> MetricRegistry::sample() const {
@@ -46,17 +97,10 @@ std::vector<MetricRegistry::Sample> MetricRegistry::sample() const {
     s.node = m.node;
     s.name = m.name;
     s.kind = m.kind;
-    switch (m.kind) {
-      case MetricKind::Counter:
-      case MetricKind::Bytes:
-        s.u64 = m.u64 ? m.u64() : 0;
-        break;
-      case MetricKind::Gauge:
-        s.f64 = m.f64 ? m.f64() : 0.0;
-        break;
-      case MetricKind::Histogram:
-        s.u64 = m.hist ? m.hist->count() : 0;
-        break;
+    if (m.kind == MetricKind::Gauge) {
+      s.f64 = value_of(m);
+    } else {
+      s.u64 = count_of(m);
     }
     out.push_back(std::move(s));
   }
@@ -73,18 +117,15 @@ const MetricRegistry::Metric* MetricRegistry::find(std::string_view node,
 std::uint64_t MetricRegistry::counter_value(std::string_view node,
                                             std::string_view name) const {
   const Metric* m = find(node, name);
-  if (!m) return 0;
-  if (m->kind == MetricKind::Histogram) return m->hist ? m->hist->count() : 0;
-  return m->u64 ? m->u64() : 0;
+  return m ? count_of(*m) : 0;
 }
 
 double MetricRegistry::gauge_value(std::string_view node,
                                    std::string_view name) const {
   const Metric* m = find(node, name);
   if (!m) return 0.0;
-  if (m->kind == MetricKind::Gauge) return m->f64 ? m->f64() : 0.0;
-  if (m->kind == MetricKind::Histogram) return double(m->hist ? m->hist->count() : 0);
-  return double(m->u64 ? m->u64() : 0);
+  if (m->kind == MetricKind::Gauge) return value_of(*m);
+  return double(count_of(*m));
 }
 
 bool MetricRegistry::has(std::string_view node, std::string_view name) const {
@@ -100,10 +141,10 @@ json::Value MetricRegistry::to_json(bool host_side) const {
     switch (m.kind) {
       case MetricKind::Counter:
       case MetricKind::Bytes:
-        group->set(m.name, json::Value(m.u64 ? m.u64() : 0));
+        group->set(m.name, json::Value(count_of(m)));
         break;
       case MetricKind::Gauge:
-        group->set(m.name, json::Value(m.f64 ? m.f64() : 0.0));
+        group->set(m.name, json::Value(value_of(m)));
         break;
       case MetricKind::Histogram: {
         json::Value h = json::Value::object();

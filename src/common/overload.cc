@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/metrics.h"
+
 namespace ncache::overload {
 
 void TokenBucket::refill(std::uint64_t now_ns) {
@@ -18,6 +20,12 @@ void RetryBudget::refill(std::uint64_t now_ns) {
   last_ns_ = now_ns;
   tokens_ += config_.reserve_per_sec * (static_cast<double>(dt) * 1e-9);
   if (tokens_ > config_.capacity) tokens_ = config_.capacity;
+}
+
+void RetryBudget::register_metrics(MetricRegistry& registry,
+                                   const std::string& node) {
+  registry.counter(node, "retry_budget.denied", &denied_);
+  registry.counter(node, "retry_budget.withdrawn", &withdrawn_);
 }
 
 std::uint64_t CoDelState::next_drop_at(std::uint64_t from_ns) const {

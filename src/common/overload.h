@@ -9,6 +9,11 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+
+namespace ncache {
+class MetricRegistry;
+}
 
 namespace ncache::overload {
 
@@ -99,10 +104,8 @@ class RetryBudget {
   std::uint64_t withdrawn() const noexcept { return withdrawn_; }
   const Config& config() const noexcept { return config_; }
 
-  void reset_counters() noexcept {
-    denied_ = 0;
-    withdrawn_ = 0;
-  }
+  /// Publishes retry_budget.denied / retry_budget.withdrawn under `node`.
+  void register_metrics(MetricRegistry& registry, const std::string& node);
 
  private:
   void refill(std::uint64_t now_ns);

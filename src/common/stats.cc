@@ -6,11 +6,6 @@
 
 namespace ncache {
 
-double ByteMeter::mb_per_sec(std::uint64_t interval_ns) const noexcept {
-  if (interval_ns == 0) return 0.0;
-  return double(bytes_) / 1e6 / (double(interval_ns) / 1e9);
-}
-
 LatencyHistogram::LatencyHistogram() : buckets_(kBuckets, 0) {}
 
 namespace {

@@ -1,6 +1,5 @@
-// Lightweight metric primitives used by the testbed and benches:
-// counters, byte meters with rate computation, and a fixed-bucket
-// latency histogram.
+// Lightweight metric primitives used by the testbed and benches: a
+// fixed-bucket latency histogram and a running mean/variance.
 #pragma once
 
 #include <cstdint>
@@ -8,31 +7,6 @@
 #include <vector>
 
 namespace ncache {
-
-/// Monotonic event counter.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) noexcept { value_ += n; }
-  std::uint64_t value() const noexcept { return value_; }
-  void reset() noexcept { value_ = 0; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Accumulates bytes and converts to MB/s over a simulated interval.
-class ByteMeter {
- public:
-  void add(std::uint64_t bytes) noexcept { bytes_ += bytes; }
-  std::uint64_t bytes() const noexcept { return bytes_; }
-  void reset() noexcept { bytes_ = 0; }
-
-  /// Rate in MB/s (decimal: 1e6 bytes) over `interval_ns`.
-  double mb_per_sec(std::uint64_t interval_ns) const noexcept;
-
- private:
-  std::uint64_t bytes_ = 0;
-};
 
 /// Log-scaled latency histogram (ns). Buckets double from 1us.
 class LatencyHistogram {

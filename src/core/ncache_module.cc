@@ -1,5 +1,7 @@
 #include "core/ncache_module.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace ncache::core {
@@ -123,14 +125,16 @@ void NCacheModule::set_tier(BrownoutTier tier, sim::Time now) {
     degraded_since_ = now;
     ++stats_.degrade_entries;
   } else if (was_degraded && !degraded()) {
-    degraded_total_ns_ += now - degraded_since_;
+    degraded_total_ns_ += now - std::max(degraded_since_, window_start_);
     ++stats_.degrade_exits;
   }
 }
 
 sim::Duration NCacheModule::degraded_ns() const noexcept {
   sim::Duration total = degraded_total_ns_;
-  if (degraded()) total += stack_.loop().now() - degraded_since_;
+  if (degraded()) {
+    total += stack_.loop().now() - std::max(degraded_since_, window_start_);
+  }
   return total;
 }
 
@@ -237,30 +241,27 @@ bool NCacheModule::egress_filter(proto::Frame& frame) {
 void NCacheModule::register_metrics(MetricRegistry& registry,
                                     const std::string& node) {
   registry.counter(node, "ncache.frames_substituted",
-                   [this] { return stats_.frames_substituted; });
-  registry.counter(node, "ncache.keys_substituted",
-                   [this] { return stats_.keys_substituted; });
+                   &stats_.frames_substituted);
+  registry.counter(node, "ncache.keys_substituted", &stats_.keys_substituted);
   registry.counter(node, "ncache.substitution_misses",
-                   [this] { return stats_.substitution_misses; });
-  registry.counter(node, "ncache.frames_passed",
-                   [this] { return stats_.frames_passed; });
+                   &stats_.substitution_misses);
+  registry.counter(node, "ncache.frames_passed", &stats_.frames_passed);
   // SMP-only row, mirroring cpu.coreN.*: K=1 output stays byte-identical
   // to the historical single-core model.
   if (stack_.cpu().cores() > 1) {
     registry.counter(node, "ncache.cross_core_handoff",
-                     [this] { return stats_.cross_core_handoffs; });
+                     &stats_.cross_core_handoffs);
   }
-  registry.counter(node, "ncache.second_level_hits",
-                   [this] { return stats_.second_level_hits; });
-  registry.counter(node, "ncache.degrade_entries",
-                   [this] { return stats_.degrade_entries; });
-  registry.counter(node, "ncache.degrade_exits",
-                   [this] { return stats_.degrade_exits; });
+  registry.counter(node, "ncache.second_level_hits", &stats_.second_level_hits);
+  registry.counter(node, "ncache.degrade_entries", &stats_.degrade_entries);
+  registry.counter(node, "ncache.degrade_exits", &stats_.degrade_exits);
   registry.counter(node, "ncache.degraded_ingest_bypass",
-                   [this] { return stats_.degraded_ingest_bypass; });
+                   &stats_.degraded_ingest_bypass);
   registry.gauge(node, "ncache.degraded", [this] { return degraded() ? 1.0 : 0.0; });
-  registry.counter(node, "ncache.degraded_ns",
-                   [this] { return std::uint64_t(degraded_ns()); });
+  // Computed from time (the open stretch grows with it), so this module's
+  // hook below restarts it.
+  registry.computed_counter(node, "ncache.degraded_ns",
+                            [this] { return std::uint64_t(degraded_ns()); });
   // Brownout rows only exist when the ladder goes beyond the physical-copy
   // fallback: runs without ServeStale or Shed keep the historical metrics
   // JSON byte-for-byte.
@@ -268,13 +269,16 @@ void NCacheModule::register_metrics(MetricRegistry& registry,
     registry.gauge(node, "ncache.brownout.tier",
                    [this] { return double(int(tier_)); });
     registry.counter(node, "ncache.brownout.escalations",
-                     [this] { return stats_.brownout_escalations; });
+                     &stats_.brownout_escalations);
     registry.counter(node, "ncache.brownout.deescalations",
-                     [this] { return stats_.brownout_deescalations; });
+                     &stats_.brownout_deescalations);
     registry.counter(node, "ncache.brownout.stale_hits",
-                     [this] { return stats_.brownout_stale_hits; });
+                     &stats_.brownout_stale_hits);
   }
-  registry.on_reset([this] { reset_stats(); });
+  registry.on_reset([this] {
+    degraded_total_ns_ = 0;
+    window_start_ = stack_.loop().now();
+  });
   cache_.register_metrics(registry, node, "ncache.cache");
 }
 

@@ -109,11 +109,11 @@ class NCacheModule {
 
   NetCentricCache& cache() noexcept { return cache_; }
   const ModuleStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = ModuleStats{}; }
 
   /// In PhysicalCopy or above.
   bool degraded() const noexcept { return tier_ >= BrownoutTier::PhysicalCopy; }
-  /// Total time spent degraded, including the current stretch.
+  /// Time spent degraded in the current measurement window, including the
+  /// stretch still open.
   sim::Duration degraded_ns() const noexcept;
 
   /// Configure before register_metrics (the ncache.brownout.* rows register
@@ -131,7 +131,8 @@ class NCacheModule {
   }
 
   /// Publishes ncache.* module counters (and the underlying cache's
-  /// counters/gauges) under `node`.
+  /// counters/gauges) under `node`; hooks the degraded-time window into
+  /// the registry reset.
   void register_metrics(MetricRegistry& registry, const std::string& node);
 
  private:
@@ -155,7 +156,9 @@ class NCacheModule {
   std::deque<sim::Time> pressure_events_;  ///< rolling window
   sim::Time degraded_since_ = 0;
   sim::Time last_pressure_ = 0;
+  /// Closed degraded stretches since window_start_ (the part inside it).
   sim::Duration degraded_total_ns_ = 0;
+  sim::Time window_start_ = 0;
 };
 
 }  // namespace ncache::core

@@ -217,31 +217,23 @@ void NetCentricCache::clear() {
 void NetCentricCache::register_metrics(MetricRegistry& registry,
                                        const std::string& node,
                                        const std::string& prefix) {
-  registry.counter(node, prefix + ".lbn_inserts",
-                   [this] { return stats_.lbn_inserts; });
-  registry.counter(node, prefix + ".fho_inserts",
-                   [this] { return stats_.fho_inserts; });
-  registry.counter(node, prefix + ".fho_overwrites",
-                   [this] { return stats_.fho_overwrites; });
+  registry.counter(node, prefix + ".lbn_inserts", &stats_.lbn_inserts);
+  registry.counter(node, prefix + ".fho_inserts", &stats_.fho_inserts);
+  registry.counter(node, prefix + ".fho_overwrites", &stats_.fho_overwrites);
   registry.counter(node, prefix + ".remap_overwrites",
-                   [this] { return stats_.remap_overwrites; });
-  registry.counter(node, prefix + ".hits", [this] { return stats_.hits; });
-  registry.counter(node, prefix + ".misses", [this] { return stats_.misses; });
-  registry.counter(node, prefix + ".remaps", [this] { return stats_.remaps; });
-  registry.counter(node, prefix + ".evictions",
-                   [this] { return stats_.evictions; });
-  registry.counter(node, prefix + ".dirty_skips",
-                   [this] { return stats_.dirty_skips; });
-  registry.counter(node, prefix + ".insert_failures",
-                   [this] { return stats_.insert_failures; });
-  registry.counter(node, prefix + ".forward_hits",
-                   [this] { return stats_.forward_hits; });
+                   &stats_.remap_overwrites);
+  registry.counter(node, prefix + ".hits", &stats_.hits);
+  registry.counter(node, prefix + ".misses", &stats_.misses);
+  registry.counter(node, prefix + ".remaps", &stats_.remaps);
+  registry.counter(node, prefix + ".evictions", &stats_.evictions);
+  registry.counter(node, prefix + ".dirty_skips", &stats_.dirty_skips);
+  registry.counter(node, prefix + ".insert_failures", &stats_.insert_failures);
+  registry.counter(node, prefix + ".forward_hits", &stats_.forward_hits);
   registry.gauge(node, prefix + ".chunk_count",
                  [this] { return double(chunk_count()); });
   registry.gauge(node, prefix + ".pinned_bytes",
                  [this] { return double(pinned_bytes()); });
   pool_.register_metrics(registry, node, prefix + ".pool");
-  registry.on_reset([this] { reset_stats(); });
 }
 
 }  // namespace ncache::core

@@ -119,7 +119,6 @@ class NetCentricCache {
 
   // ---- accounting ------------------------------------------------------------
   const NetCacheStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = NetCacheStats{}; }
   std::size_t chunk_count() const noexcept { return lru_.size(); }
   std::size_t pinned_bytes() const noexcept { return pool_.in_use(); }
   std::size_t budget_bytes() const noexcept { return pool_.budget(); }
@@ -128,8 +127,7 @@ class NetCentricCache {
   /// Drops everything (tests / reconfiguration).
   void clear();
 
-  /// Publishes <prefix>.* counters plus occupancy gauges under `node` and
-  /// hooks reset_stats() into the registry reset.
+  /// Publishes <prefix>.* counters plus occupancy gauges under `node`.
   void register_metrics(MetricRegistry& registry, const std::string& node,
                         const std::string& prefix);
 

@@ -68,7 +68,11 @@ void FaultInjector::burst_loss(sim::Link& link, sim::Time at,
 
   sim::Link* l = &link;
   this->at(at, [this, l, ge] {
-    l->set_drop_hook([ge](std::size_t) { return ge->drop(); });
+    l->set_drop_hook([this, ge](std::size_t) {
+      if (!ge->drop()) return false;
+      ++stats_.frames_dropped;
+      return true;
+    });
     ++stats_.burst_windows;
   });
   this->at(at + duration, [l] { l->set_drop_hook(nullptr); });
@@ -81,27 +85,15 @@ void FaultInjector::duplex_burst_loss(sim::DuplexLink& cable, sim::Time at,
   burst_loss(cable.b_to_a, at, duration, params);
 }
 
-std::uint64_t FaultInjector::frames_dropped() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& s : streams_) total += s->dropped();
-  return total;
-}
-
 void FaultInjector::register_metrics(MetricRegistry& registry,
                                      const std::string& node) {
-  registry.counter(node, "fault.events_fired",
-                   [this] { return stats_.events_fired; });
-  registry.counter(node, "fault.link_downs",
-                   [this] { return stats_.link_downs; });
-  registry.counter(node, "fault.link_ups", [this] { return stats_.link_ups; });
-  registry.counter(node, "fault.burst_windows",
-                   [this] { return stats_.burst_windows; });
-  registry.counter(node, "fault.partitions_armed",
-                   [this] { return stats_.partitions_armed; });
-  registry.counter(node, "fault.partition_cuts",
-                   [this] { return stats_.partition_cuts; });
-  registry.counter(node, "fault.frames_dropped",
-                   [this] { return frames_dropped(); });
+  registry.counter(node, "fault.events_fired", &stats_.events_fired);
+  registry.counter(node, "fault.link_downs", &stats_.link_downs);
+  registry.counter(node, "fault.link_ups", &stats_.link_ups);
+  registry.counter(node, "fault.burst_windows", &stats_.burst_windows);
+  registry.counter(node, "fault.partitions_armed", &stats_.partitions_armed);
+  registry.counter(node, "fault.partition_cuts", &stats_.partition_cuts);
+  registry.counter(node, "fault.frames_dropped", &stats_.frames_dropped);
 }
 
 FaultPlan& FaultPlan::link_down(sim::Link& link, sim::Time at,

@@ -35,6 +35,7 @@ struct FaultStats {
   std::uint64_t burst_windows = 0; ///< GE windows armed
   std::uint64_t partitions_armed = 0;  ///< Partition windows scheduled
   std::uint64_t partition_cuts = 0;    ///< link directions those windows cut
+  std::uint64_t frames_dropped = 0;    ///< frames every GE stream ate
 };
 
 /// A network partition: the set of unidirectional link cuts that isolates
@@ -94,8 +95,6 @@ class FaultInjector {
                          GilbertElliott::Params params);
 
   const FaultStats& stats() const noexcept { return stats_; }
-  /// Frames eaten by every GE stream this injector armed.
-  std::uint64_t frames_dropped() const noexcept;
 
   /// Publishes fault.* counters under `node`.
   void register_metrics(MetricRegistry& registry, const std::string& node);

@@ -32,21 +32,15 @@ class GilbertElliott {
       if (rng_.uniform() < params_.p_good_bad) bad_ = true;
     }
     double p = bad_ ? params_.drop_bad : params_.drop_good;
-    if (p > 0.0 && rng_.uniform() < p) {
-      ++dropped_;
-      return true;
-    }
-    return false;
+    return p > 0.0 && rng_.uniform() < p;
   }
 
   bool in_bad_state() const noexcept { return bad_; }
-  std::uint64_t dropped() const noexcept { return dropped_; }
 
  private:
   Params params_;
   Pcg32 rng_;
   bool bad_ = false;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace ncache::fault

@@ -330,19 +330,14 @@ std::vector<std::uint64_t> BufferCache::cached_data_lbns() const {
 
 void BufferCache::register_metrics(MetricRegistry& registry,
                                    const std::string& node) {
-  registry.counter(node, "fscache.hits", [this] { return stats_.hits; });
-  registry.counter(node, "fscache.misses", [this] { return stats_.misses; });
-  registry.counter(node, "fscache.evictions",
-                   [this] { return stats_.evictions; });
-  registry.counter(node, "fscache.writebacks",
-                   [this] { return stats_.writebacks; });
-  registry.counter(node, "fscache.readahead_blocks",
-                   [this] { return stats_.readahead_blocks; });
-  registry.counter(node, "fscache.coalesced_reads",
-                   [this] { return stats_.coalesced_reads; });
+  registry.counter(node, "fscache.hits", &stats_.hits);
+  registry.counter(node, "fscache.misses", &stats_.misses);
+  registry.counter(node, "fscache.evictions", &stats_.evictions);
+  registry.counter(node, "fscache.writebacks", &stats_.writebacks);
+  registry.counter(node, "fscache.readahead_blocks", &stats_.readahead_blocks);
+  registry.counter(node, "fscache.coalesced_reads", &stats_.coalesced_reads);
   registry.gauge(node, "fscache.resident_blocks",
                  [this] { return double(map_.size()); });
-  registry.on_reset([this] { reset_stats(); });
 }
 
 }  // namespace ncache::fs

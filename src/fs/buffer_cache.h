@@ -126,10 +126,8 @@ class BufferCache {
   }
 
   const BufferCacheStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = BufferCacheStats{}; }
 
-  /// Publishes fscache.* counters under `node` and hooks reset_stats()
-  /// into the registry reset.
+  /// Publishes fscache.* counters under `node`.
   void register_metrics(MetricRegistry& registry, const std::string& node);
 
  private:

@@ -24,28 +24,20 @@ void KHttpd::start() {
 
 void KHttpd::register_metrics(MetricRegistry& registry,
                               const std::string& node) {
-  registry.counter(node, "http.requests", [this] { return stats_.requests; });
-  registry.counter(node, "http.responses_200",
-                   [this] { return stats_.responses_200; });
-  registry.counter(node, "http.responses_404",
-                   [this] { return stats_.responses_404; });
-  registry.counter(node, "http.responses_400",
-                   [this] { return stats_.responses_400; });
-  registry.bytes(node, "http.body_bytes",
-                 [this] { return stats_.body_bytes; });
-  registry.counter(node, "http.connections",
-                   [this] { return stats_.connections; });
+  registry.counter(node, "http.requests", &stats_.requests);
+  registry.counter(node, "http.responses_200", &stats_.responses_200);
+  registry.counter(node, "http.responses_404", &stats_.responses_404);
+  registry.counter(node, "http.responses_400", &stats_.responses_400);
+  registry.bytes(node, "http.body_bytes", &stats_.body_bytes);
+  registry.counter(node, "http.connections", &stats_.connections);
   if (config_.overload.enabled) {
     // Overload-only metrics register only when the feature is on, so a
     // disabled run's metrics JSON stays byte-identical to the seed.
-    registry.counter(node, "http.responses_503",
-                     [this] { return stats_.responses_503; });
-    registry.counter(node, "overload.shed", [this] { return stats_.shed; });
-    registry.counter(node, "overload.conn_rejects",
-                     [this] { return stats_.conn_rejects; });
+    registry.counter(node, "http.responses_503", &stats_.responses_503);
+    registry.counter(node, "overload.shed", &stats_.shed);
+    registry.counter(node, "overload.conn_rejects", &stats_.conn_rejects);
     registry.histogram(node, "overload.sojourn", &sojourn_);
   }
-  registry.on_reset([this] { reset_stats(); });
 }
 
 void KHttpd::on_accept(proto::TcpConnectionPtr conn) {

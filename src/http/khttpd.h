@@ -65,14 +65,9 @@ class KHttpd {
   void start();
 
   const KHttpdStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept {
-    stats_ = KHttpdStats{};
-    sojourn_.reset();
-  }
   core::PassMode mode() const noexcept { return config_.mode; }
 
-  /// Publishes http.* request counters under `node` and hooks reset_stats()
-  /// into the registry reset.
+  /// Publishes http.* request counters under `node`.
   void register_metrics(MetricRegistry& registry, const std::string& node);
 
  private:

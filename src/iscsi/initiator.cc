@@ -432,22 +432,17 @@ Task<bool> IscsiInitiator::write_blocks(std::uint64_t lbn, MsgBuffer data,
 
 void IscsiInitiator::register_metrics(MetricRegistry& registry,
                                       const std::string& node) {
-  registry.counter(node, "iscsi.session_drops",
-                   [this] { return stats_.session_drops; });
-  registry.counter(node, "iscsi.command_timeouts",
-                   [this] { return stats_.command_timeouts; });
-  registry.counter(node, "iscsi.login_attempts",
-                   [this] { return stats_.login_attempts; });
-  registry.counter(node, "iscsi.relogins", [this] { return stats_.relogins; });
-  registry.counter(node, "iscsi.replays", [this] { return stats_.replays; });
-  registry.counter(node, "iscsi.io_retries",
-                   [this] { return stats_.io_retries; });
-  registry.counter(node, "iscsi.errors", [this] { return stats_.errors; });
+  registry.counter(node, "iscsi.session_drops", &stats_.session_drops);
+  registry.counter(node, "iscsi.command_timeouts", &stats_.command_timeouts);
+  registry.counter(node, "iscsi.login_attempts", &stats_.login_attempts);
+  registry.counter(node, "iscsi.relogins", &stats_.relogins);
+  registry.counter(node, "iscsi.replays", &stats_.replays);
+  registry.counter(node, "iscsi.io_retries", &stats_.io_retries);
+  registry.counter(node, "iscsi.errors", &stats_.errors);
   if (retry_budget_) {
     // Registered only when a budget is attached, so budget-less runs keep
     // their metrics JSON byte-identical.
-    registry.counter(node, "iscsi.budget_denied",
-                     [this] { return stats_.budget_denied; });
+    registry.counter(node, "iscsi.budget_denied", &stats_.budget_denied);
   }
 }
 

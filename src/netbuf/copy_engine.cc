@@ -8,21 +8,14 @@ namespace ncache::netbuf {
 
 void CopyEngine::register_metrics(MetricRegistry& registry,
                                   const std::string& node) {
-  registry.counter(node, "copy.data_ops", [this] { return stats_.data_copy_ops; });
-  registry.bytes(node, "copy.data_bytes",
-                 [this] { return stats_.data_copy_bytes; });
-  registry.counter(node, "copy.meta_ops", [this] { return stats_.meta_copy_ops; });
-  registry.bytes(node, "copy.meta_bytes",
-                 [this] { return stats_.meta_copy_bytes; });
-  registry.counter(node, "copy.logical_ops",
-                   [this] { return stats_.logical_copy_ops; });
-  registry.counter(node, "copy.logical_keys",
-                   [this] { return stats_.logical_copy_keys; });
-  registry.counter(node, "copy.checksum_ops",
-                   [this] { return stats_.checksum_ops; });
-  registry.bytes(node, "copy.checksum_bytes",
-                 [this] { return stats_.checksum_bytes; });
-  registry.on_reset([this] { reset_stats(); });
+  registry.counter(node, "copy.data_ops", &stats_.data_copy_ops);
+  registry.bytes(node, "copy.data_bytes", &stats_.data_copy_bytes);
+  registry.counter(node, "copy.meta_ops", &stats_.meta_copy_ops);
+  registry.bytes(node, "copy.meta_bytes", &stats_.meta_copy_bytes);
+  registry.counter(node, "copy.logical_ops", &stats_.logical_copy_ops);
+  registry.counter(node, "copy.logical_keys", &stats_.logical_copy_keys);
+  registry.counter(node, "copy.checksum_ops", &stats_.checksum_ops);
+  registry.bytes(node, "copy.checksum_bytes", &stats_.checksum_bytes);
 }
 
 void CopyEngine::account(std::size_t bytes, CopyClass cls) {

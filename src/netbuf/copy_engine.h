@@ -38,8 +38,6 @@ struct CopyStats {
   std::uint64_t logical_copy_keys = 0;
   std::uint64_t checksum_ops = 0;
   std::uint64_t checksum_bytes = 0;
-
-  void reset() { *this = CopyStats{}; }
 };
 
 class CopyEngine {
@@ -83,10 +81,8 @@ class CopyEngine {
   void charge_copy_cost_only(std::size_t bytes, CopyClass cls);
 
   const CopyStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_.reset(); }
 
-  /// Publishes copy.* counters under `node` and hooks reset_stats() into
-  /// the registry reset.
+  /// Publishes copy.* counters under `node`.
   void register_metrics(MetricRegistry& registry, const std::string& node);
 
   sim::CpuModel& cpu() noexcept { return cpu_; }

@@ -120,9 +120,8 @@ void BufferPool::register_metrics(MetricRegistry& registry,
                                   const std::string& prefix) {
   registry.gauge(node, prefix + ".in_use_bytes",
                  [ledger = ledger_] { return double(ledger->in_use); });
-  registry.counter(node, prefix + ".allocations",
-                   [this] { return allocations_; });
-  registry.counter(node, prefix + ".failures", [this] { return failures_; });
+  registry.counter(node, prefix + ".allocations", &allocations_);
+  registry.counter(node, prefix + ".failures", &failures_);
   registry.host_counter(node, prefix + ".recycled",
                         [this] { return recycled_; });
   registry.host_counter(node, prefix + ".slab_misses",

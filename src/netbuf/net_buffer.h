@@ -138,7 +138,8 @@ class BufferPool {
   std::uint64_t allocations() const noexcept { return allocations_; }
   std::uint64_t failures() const noexcept { return failures_; }
   /// Allocations whose storage came off a slab free list / had to hit
-  /// the heap. recycled + slab_misses == allocations.
+  /// the heap. recycled + slab_misses == allocations until a registry
+  /// reset zeroes allocations (these two are host-side and never reset).
   std::uint64_t recycled() const noexcept { return recycled_; }
   std::uint64_t slab_misses() const noexcept { return slab_misses_; }
 

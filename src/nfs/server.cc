@@ -97,7 +97,7 @@ void NfsServer::on_datagram(proto::Ipv4Addr sip, std::uint16_t sport,
   } else {
     queue_.push_back(std::move(req));
   }
-  stats_.queue_hwm = std::max(stats_.queue_hwm, queue_depth());
+  stats_.queue_hwm = std::max<std::uint64_t>(stats_.queue_hwm, queue_depth());
 }
 
 Task<std::optional<NfsServer::Request>> NfsServer::next_request() {
@@ -149,30 +149,23 @@ Task<void> NfsServer::daemon_loop(int /*index*/) {
 
 void NfsServer::register_metrics(MetricRegistry& registry,
                                  const std::string& node) {
-  registry.counter(node, "nfs.requests", [this] { return stats_.requests; });
-  registry.counter(node, "nfs.reads", [this] { return stats_.reads; });
-  registry.counter(node, "nfs.writes", [this] { return stats_.writes; });
-  registry.counter(node, "nfs.metadata_ops",
-                   [this] { return stats_.metadata_ops; });
-  registry.bytes(node, "nfs.read_bytes", [this] { return stats_.read_bytes; });
-  registry.bytes(node, "nfs.write_bytes",
-                 [this] { return stats_.write_bytes; });
-  registry.counter(node, "nfs.errors", [this] { return stats_.errors; });
-  registry.counter(node, "nfs.unaligned_writes",
-                   [this] { return stats_.unaligned_writes; });
-  registry.gauge(node, "nfs.queue_hwm",
-                 [this] { return double(stats_.queue_hwm); });
-  registry.counter(node, "nfs.queue_drops",
-                   [this] { return stats_.queue_drops; });
+  registry.counter(node, "nfs.requests", &stats_.requests);
+  registry.counter(node, "nfs.reads", &stats_.reads);
+  registry.counter(node, "nfs.writes", &stats_.writes);
+  registry.counter(node, "nfs.metadata_ops", &stats_.metadata_ops);
+  registry.bytes(node, "nfs.read_bytes", &stats_.read_bytes);
+  registry.bytes(node, "nfs.write_bytes", &stats_.write_bytes);
+  registry.counter(node, "nfs.errors", &stats_.errors);
+  registry.counter(node, "nfs.unaligned_writes", &stats_.unaligned_writes);
+  registry.window_max(node, "nfs.queue_hwm", &stats_.queue_hwm);
+  registry.counter(node, "nfs.queue_drops", &stats_.queue_drops);
   if (config_.overload.enabled) {
     // Overload-only metrics register only when the feature is on, so a
     // disabled run's metrics JSON stays byte-identical to the seed.
-    registry.counter(node, "overload.shed", [this] { return stats_.shed; });
-    registry.counter(node, "overload.brownout_shed",
-                     [this] { return stats_.brownout_shed; });
+    registry.counter(node, "overload.shed", &stats_.shed);
+    registry.counter(node, "overload.brownout_shed", &stats_.brownout_shed);
     registry.histogram(node, "overload.sojourn", &sojourn_);
   }
-  registry.on_reset([this] { reset_stats(); });
 }
 
 Task<Fattr> NfsServer::fattr_of(std::uint64_t fh) {

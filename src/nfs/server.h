@@ -45,7 +45,7 @@ struct NfsServerStats {
   std::uint64_t write_bytes = 0;
   std::uint64_t errors = 0;
   std::uint64_t unaligned_writes = 0;  ///< NCache fell back to copying
-  std::size_t queue_hwm = 0;
+  std::uint64_t queue_hwm = 0;  ///< deepest queue seen in the window
   std::uint64_t queue_drops = 0;    ///< hard queue-bound overflow drops
   std::uint64_t shed = 0;           ///< CoDel sojourn sheds (overload on)
   std::uint64_t brownout_shed = 0;  ///< data ops shed by the brownout probe
@@ -97,10 +97,6 @@ class NfsServer {
   void set_write_observer(WriteObserver fn) { on_write_ = std::move(fn); }
 
   const NfsServerStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept {
-    stats_ = NfsServerStats{};
-    sojourn_.reset();
-  }
 
   /// Queued-but-unserved requests right now (the LoadBalancer's heartbeat
   /// qdepth feedback samples this).
@@ -115,8 +111,7 @@ class NfsServer {
     shed_probe_ = std::move(fn);
   }
 
-  /// Publishes nfs.* request counters under `node` and hooks reset_stats()
-  /// into the registry reset.
+  /// Publishes nfs.* request counters under `node`.
   void register_metrics(MetricRegistry& registry, const std::string& node);
 
  private:

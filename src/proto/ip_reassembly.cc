@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "common/metrics.h"
+
 namespace ncache::proto {
 
 std::optional<IpReassembler::Datagram> IpReassembler::feed(Frame frame) {
@@ -98,6 +100,13 @@ void IpReassembler::arm_expiry() {
     expire();
     arm_expiry();
   });
+}
+
+void IpReassembler::register_metrics(MetricRegistry& registry,
+                                     const std::string& node) {
+  registry.counter(node, "ip.reassembly_timeouts", &timeouts_);
+  registry.gauge(node, "ip.reassembly_pending",
+                 [this] { return double(pending()); });
 }
 
 }  // namespace ncache::proto

@@ -9,11 +9,16 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <string>
 #include <unordered_map>
 
 #include "netbuf/msg_buffer.h"
 #include "proto/frame.h"
 #include "sim/event_loop.h"
+
+namespace ncache {
+class MetricRegistry;
+}
 
 namespace ncache::proto {
 
@@ -43,6 +48,10 @@ class IpReassembler {
 
   std::size_t pending() const noexcept { return partial_.size(); }
   std::uint64_t timeouts() const noexcept { return timeouts_; }
+
+  /// Publishes ip.reassembly_timeouts and ip.reassembly_pending under
+  /// `node`.
+  void register_metrics(MetricRegistry& registry, const std::string& node);
 
  private:
   struct FlowKey {

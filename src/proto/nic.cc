@@ -22,7 +22,7 @@ void Nic::send(Frame frame) {
   if (!tx_) throw std::logic_error("Nic::send: not attached to a link");
 
   if (egress_filter_ && !egress_filter_(frame)) {
-    ++dropped_;
+    ++stats_.dropped;
     return;
   }
 
@@ -34,8 +34,8 @@ void Nic::send(Frame frame) {
   }
 
   std::size_t wire = frame.wire_bytes();
-  tx_meter_.add(wire);
-  tx_frames_.add();
+  stats_.tx_bytes += wire;
+  ++stats_.tx_frames;
 
   // Driver/stack per-frame transmit work serializes on the host CPU, then
   // the frame serializes on the link. TCP frames carry a higher per-packet
@@ -52,8 +52,8 @@ void Nic::send(Frame frame) {
 }
 
 void Nic::deliver(FrameBox f) {
-  rx_meter_.add(f->wire_bytes());
-  rx_frames_.add();
+  stats_.rx_bytes += f->wire_bytes();
+  ++stats_.rx_frames;
 
   if (!costs_.checksum_offload && !f->l4_checksum_inherited) {
     copier_.charge_checksum(f->payload.size() + f->l3l4_header_bytes());
@@ -65,7 +65,7 @@ void Nic::deliver(FrameBox f) {
                            : costs_.packet_rx_ns;
   cpu_.submit(cost, [this, f = std::move(f)] {
     if (ingress_filter_ && !ingress_filter_(*f)) {
-      ++dropped_;
+      ++stats_.dropped;
       return;
     }
     if (rx_) rx_(std::move(*f));
@@ -74,26 +74,15 @@ void Nic::deliver(FrameBox f) {
 
 void Nic::register_metrics(MetricRegistry& registry, const std::string& node,
                            const std::string& prefix) {
-  registry.bytes(node, prefix + ".tx.bytes",
-                 [this] { return tx_meter_.bytes(); });
-  registry.bytes(node, prefix + ".rx.bytes",
-                 [this] { return rx_meter_.bytes(); });
-  registry.counter(node, prefix + ".tx.frames",
-                   [this] { return tx_frames_.value(); });
-  registry.counter(node, prefix + ".rx.frames",
-                   [this] { return rx_frames_.value(); });
-  registry.counter(node, prefix + ".dropped", [this] { return dropped_; });
-  // The tx link attaches when the switch connects; sample through the
-  // pointer so registration order doesn't matter.
-  registry.gauge(node, prefix + ".tx.utilization",
-                 [this] { return tx_ ? tx_->utilization() : 0.0; });
-  registry.on_reset([this] {
-    tx_meter_.reset();
-    rx_meter_.reset();
-    tx_frames_.reset();
-    rx_frames_.reset();
-    if (tx_) tx_->reset_stats();
-  });
+  if (!tx_) {
+    throw std::logic_error("Nic::register_metrics: not attached to a link");
+  }
+  registry.bytes(node, prefix + ".tx.bytes", &stats_.tx_bytes);
+  registry.bytes(node, prefix + ".rx.bytes", &stats_.rx_bytes);
+  registry.counter(node, prefix + ".tx.frames", &stats_.tx_frames);
+  registry.counter(node, prefix + ".rx.frames", &stats_.rx_frames);
+  registry.counter(node, prefix + ".dropped", &stats_.dropped);
+  tx_->register_utilization(registry, node, prefix + ".tx.utilization");
 }
 
 }  // namespace ncache::proto

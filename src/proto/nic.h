@@ -10,7 +10,6 @@
 #include <functional>
 #include <string>
 
-#include "common/stats.h"
 #include "netbuf/copy_engine.h"
 #include "proto/frame.h"
 #include "sim/cost_model.h"
@@ -22,6 +21,14 @@ class MetricRegistry;
 }
 
 namespace ncache::proto {
+
+struct NicStats {
+  std::uint64_t tx_bytes = 0;  ///< wire bytes handed to the driver
+  std::uint64_t rx_bytes = 0;
+  std::uint64_t tx_frames = 0;
+  std::uint64_t rx_frames = 0;
+  std::uint64_t dropped = 0;  ///< frames an egress/ingress filter refused
+};
 
 class Nic {
  public:
@@ -63,17 +70,13 @@ class Nic {
   void set_egress_filter(FrameFilter f) { egress_filter_ = std::move(f); }
   void set_ingress_filter(FrameFilter f) { ingress_filter_ = std::move(f); }
 
-  ByteMeter& tx_meter() noexcept { return tx_meter_; }
-  ByteMeter& rx_meter() noexcept { return rx_meter_; }
-  Counter& tx_frames() noexcept { return tx_frames_; }
-  Counter& rx_frames() noexcept { return rx_frames_; }
-  std::uint64_t dropped() const noexcept { return dropped_; }
+  const NicStats& stats() const noexcept { return stats_; }
 
   sim::Link* tx_link() noexcept { return tx_; }
 
-  /// Publishes <prefix>.tx/.rx meters and frame counters under `node`,
-  /// plus the attached tx link's utilization; hooks meter resets into the
-  /// registry reset.
+  /// Publishes <prefix>.tx/.rx byte and frame counters and the drop count
+  /// under `node`, plus the tx link's utilization (the NIC must be
+  /// attached).
   void register_metrics(MetricRegistry& registry, const std::string& node,
                         const std::string& prefix);
 
@@ -92,11 +95,7 @@ class Nic {
   FrameFilter egress_filter_;
   FrameFilter ingress_filter_;
 
-  ByteMeter tx_meter_;
-  ByteMeter rx_meter_;
-  Counter tx_frames_;
-  Counter rx_frames_;
-  std::uint64_t dropped_ = 0;
+  NicStats stats_;
 };
 
 }  // namespace ncache::proto

@@ -361,24 +361,16 @@ Task<TcpConnectionPtr> NetworkStack::tcp_connect(Ipv4Addr src_ip,
 
 void NetworkStack::register_metrics(MetricRegistry& registry,
                                     const std::string& node) {
-  registry.counter(node, "udp.datagrams_sent",
-                   [this] { return stats_.udp_datagrams_sent; });
+  registry.counter(node, "udp.datagrams_sent", &stats_.udp_datagrams_sent);
   registry.counter(node, "udp.datagrams_received",
-                   [this] { return stats_.udp_datagrams_received; });
-  registry.counter(node, "udp.fragments_sent",
-                   [this] { return stats_.udp_fragments_sent; });
-  registry.counter(node, "stack.no_handler_drops",
-                   [this] { return stats_.no_handler_drops; });
+                   &stats_.udp_datagrams_received);
+  registry.counter(node, "udp.fragments_sent", &stats_.udp_fragments_sent);
+  registry.counter(node, "stack.no_handler_drops", &stats_.no_handler_drops);
   registry.counter(node, "stack.bad_checksum_drops",
-                   [this] { return stats_.bad_checksum_drops; });
-  registry.counter(node, "stack.not_mine_drops",
-                   [this] { return stats_.not_mine_drops; });
-  registry.counter(node, "tcp.resets_sent",
-                   [this] { return stats_.tcp_resets_sent; });
-  registry.counter(node, "ip.reassembly_timeouts",
-                   [this] { return reassembler_.timeouts(); });
-  registry.gauge(node, "ip.reassembly_pending",
-                 [this] { return double(reassembler_.pending()); });
+                   &stats_.bad_checksum_drops);
+  registry.counter(node, "stack.not_mine_drops", &stats_.not_mine_drops);
+  registry.counter(node, "tcp.resets_sent", &stats_.tcp_resets_sent);
+  reassembler_.register_metrics(registry, node);
   for (std::size_t i = 0; i < nics_.size(); ++i) {
     nics_[i]->register_metrics(registry, node, "nic" + std::to_string(i));
   }

@@ -11,8 +11,10 @@ void CpuModel::set_cores(unsigned k) {
   if (k == 0 || k > kMaxCores) {
     throw std::invalid_argument("CpuModel: cores must be in [1, 64]");
   }
-  if (submitted_ != 0) {
-    throw std::logic_error("CpuModel: set_cores() after work was submitted");
+  if (submitted_ != 0 || registered_) {
+    throw std::logic_error(
+        "CpuModel: set_cores() after work was submitted or metrics were "
+        "registered");
   }
   // Fresh vector rather than resize: Core is move-only (the completion
   // FIFO holds InlineCallbacks) and the CPU is cold, so nothing carries
@@ -40,9 +42,9 @@ void CpuModel::submit_on(unsigned core, Duration cost, InlineCallback done) {
   // takes the item (what a work-stealing scheduler or kernel softirq
   // spreading would do, collapsed to a deterministic rule).
   if (steal_threshold_ != 0 && cores_.size() > 1 &&
-      cores_[core].free_at > now + steal_threshold_) {
+      cores_[core].window.free_at() > now + steal_threshold_) {
     for (unsigned c = 0; c < cores_.size(); ++c) {
-      if (c != core && cores_[c].free_at <= now) {
+      if (c != core && cores_[c].window.free_at() <= now) {
         core = c;
         ++steals_;
         break;
@@ -51,14 +53,9 @@ void CpuModel::submit_on(unsigned core, Duration cost, InlineCallback done) {
   }
 
   Core& cpu = cores_[core];
-  Time start = std::max(now, cpu.free_at);
-  Time finish = start + cost;
-  cpu.free_at = finish;
-  // Clip accounting to the current measurement window: work queued before
-  // reset_stats() but finishing after it counts only its in-window part.
-  Time acct_start = std::max(start, window_start_);
-  if (finish > acct_start) cpu.busy_ns += finish - acct_start;
+  Time finish = cpu.window.book(now, cost);
   ++cpu.items;
+  ++items_;
   ++submitted_;
   if (done) {
     // Completions pop from a per-core FIFO so the dispatch runs inside
@@ -79,83 +76,56 @@ void CpuModel::dispatch_done(unsigned core) {
 
 Duration CpuModel::busy_ns() const noexcept {
   Duration total = 0;
-  for (const Core& c : cores_) total += c.busy_ns;
-  return total;
-}
-
-std::uint64_t CpuModel::items() const noexcept {
-  std::uint64_t total = 0;
-  for (const Core& c : cores_) total += c.items;
+  for (const Core& c : cores_) total += c.window.busy_ns();
   return total;
 }
 
 Time CpuModel::free_at() const noexcept {
   Time latest = 0;
-  for (const Core& c : cores_) latest = std::max(latest, c.free_at);
+  for (const Core& c : cores_) latest = std::max(latest, c.window.free_at());
   return latest;
 }
 
 double CpuModel::core_utilization(unsigned core) const noexcept {
-  Time now = loop_.now();
-  if (now <= window_start_) return 0.0;
-  Duration elapsed = now - window_start_;
-  const Core& c = cores_[core];
-  // busy_ns may exceed elapsed transiently when queued work extends past
-  // `now`; count only busy time already in the past.
-  Duration busy = c.busy_ns;
-  if (c.free_at > now) {
-    Duration future = c.free_at - now;
-    busy = busy > future ? busy - future : 0;
-  }
-  return std::min(1.0, double(busy) / double(elapsed));
+  return cores_[core].window.utilization(loop_.now());
 }
 
 double CpuModel::utilization() const noexcept {
   Time now = loop_.now();
-  if (now <= window_start_) return 0.0;
-  Duration elapsed = now - window_start_;
+  // Every core's window restarts together.
+  Time window_start = cores_.front().window.window_start();
+  if (now <= window_start) return 0.0;
+  Duration elapsed = now - window_start;
   Duration busy = 0;
   for (const Core& c : cores_) {
-    Duration b = c.busy_ns;
-    if (c.free_at > now) {
-      Duration future = c.free_at - now;
-      b = b > future ? b - future : 0;
-    }
-    busy += std::min(Duration(elapsed), b);
+    busy += std::min(elapsed, c.window.elapsed_busy(now));
   }
   return std::min(1.0, double(busy) / double(elapsed * cores_.size()));
 }
 
-void CpuModel::reset_stats() noexcept {
-  window_start_ = loop_.now();
-  for (Core& c : cores_) {
-    c.busy_ns = 0;
-    c.items = 0;
-    // If the core is mid-item, the remaining in-flight work belongs to
-    // the new window.
-    if (c.free_at > window_start_) c.busy_ns = c.free_at - window_start_;
-  }
-  steals_ = 0;
+void CpuModel::restart_window() noexcept {
+  for (Core& c : cores_) c.window.restart(loop_.now());
 }
 
 void CpuModel::register_metrics(MetricRegistry& registry,
                                 const std::string& node) {
+  registered_ = true;
   registry.gauge(node, "cpu.utilization", [this] { return utilization(); });
-  registry.counter(node, "cpu.busy_ns",
-                   [this] { return std::uint64_t(busy_ns()); });
-  registry.counter(node, "cpu.items", [this] { return items(); });
+  // Each core's busy time carries its in-flight work across a reset, so
+  // the sum is computed and restarted by this model's hook below.
+  registry.computed_counter(node, "cpu.busy_ns",
+                            [this] { return std::uint64_t(busy_ns()); });
+  registry.counter(node, "cpu.items", &items_);
   if (cores_.size() > 1) {
     for (unsigned c = 0; c < cores_.size(); ++c) {
       std::string prefix = "cpu.core" + std::to_string(c);
-      registry.counter(node, prefix + ".busy_ns", [this, c] {
-        return std::uint64_t(cores_[c].busy_ns);
-      });
-      registry.counter(node, prefix + ".items",
-                       [this, c] { return cores_[c].items; });
+      registry.counter(node, prefix + ".busy_ns",
+                       cores_[c].window.busy_cell());
+      registry.counter(node, prefix + ".items", &cores_[c].items);
     }
-    registry.counter(node, "cpu.steal", [this] { return steals_; });
+    registry.counter(node, "cpu.steal", &steals_);
   }
-  registry.on_reset([this] { reset_stats(); });
+  registry.on_reset([this] { restart_window(); });
 }
 
 }  // namespace ncache::sim

@@ -33,6 +33,7 @@
 
 #include "common/ring_queue.h"
 #include "common/task.h"
+#include "sim/busy_window.h"
 #include "sim/event_loop.h"
 
 namespace ncache {
@@ -56,7 +57,8 @@ class CpuModel {
   CpuModel& operator=(const CpuModel&) = delete;
 
   /// Reshapes the model to `k` cores. Only valid while the CPU is cold
-  /// (no items submitted yet) — topologies fix the core count at build.
+  /// (no items submitted, no metrics registered yet) — topologies fix the
+  /// core count at build.
   void set_cores(unsigned k);
   unsigned cores() const noexcept { return unsigned(cores_.size()); }
 
@@ -135,36 +137,41 @@ class CpuModel {
     unsigned prev_;
   };
 
-  /// Busy fraction since the last reset_stats() across all cores, in
-  /// [0,1] (busy time past `now`, summed over cores, over K * elapsed).
+  /// Busy fraction of the current window across all cores, in [0,1]
+  /// (busy time up to `now`, summed over cores, over K * elapsed).
   double utilization() const noexcept;
   /// Same for one core.
   double core_utilization(unsigned core) const noexcept;
 
   Duration busy_ns() const noexcept;          ///< summed over cores
-  std::uint64_t items() const noexcept;       ///< summed over cores
-  Duration core_busy_ns(unsigned c) const noexcept { return cores_[c].busy_ns; }
+  std::uint64_t items() const noexcept { return items_; }  ///< all cores
+  Duration core_busy_ns(unsigned c) const noexcept {
+    return cores_[c].window.busy_ns();
+  }
   std::uint64_t core_items(unsigned c) const noexcept { return cores_[c].items; }
   std::uint64_t steals() const noexcept { return steals_; }
   const std::string& name() const noexcept { return name_; }
 
   /// Time at which all currently-queued work (on every core) completes.
   Time free_at() const noexcept;
-  Time core_free_at(unsigned c) const noexcept { return cores_[c].free_at; }
+  Time core_free_at(unsigned c) const noexcept {
+    return cores_[c].window.free_at();
+  }
 
-  /// Starts a fresh measurement window at the current simulated time.
-  void reset_stats() noexcept;
+  /// Starts a fresh busy window on every core at the current simulated
+  /// time; work in flight carries into it. The item and steal counts are
+  /// registry cells, zeroed by the registry's reset.
+  void restart_window() noexcept;
 
   /// Publishes cpu.utilization / cpu.busy_ns / cpu.items under `node` and
-  /// hooks reset_stats() into the registry's measurement-window reset.
+  /// hooks restart_window() into the registry's measurement-window reset.
   /// SMP models (K > 1) additionally publish cpu.coreN.busy_ns /
   /// cpu.coreN.items per core and the cpu.steal counter.
   void register_metrics(MetricRegistry& registry, const std::string& node);
 
  private:
   struct Core {
-    Time free_at = 0;
-    Duration busy_ns = 0;
+    BusyWindow window;
     std::uint64_t items = 0;
     /// Completion callbacks in finish order (per-core finish times are
     /// monotone, so a FIFO matches the schedule order exactly).
@@ -179,12 +186,13 @@ class CpuModel {
   EventLoop& loop_;
   std::string name_;
   std::vector<Core> cores_;
-  Time window_start_ = 0;
   unsigned current_core_ = kNoCore;
   bool rss_ = true;
   Duration steal_threshold_ = 0;
+  std::uint64_t items_ = 0;      ///< summed over cores (windowed)
   std::uint64_t steals_ = 0;
   std::uint64_t submitted_ = 0;  ///< total ever; guards set_cores()
+  bool registered_ = false;      ///< the registry holds per-core cells
 };
 
 }  // namespace ncache::sim

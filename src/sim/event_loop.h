@@ -89,6 +89,8 @@ class EventLoop {
   /// to now. A burst of these means some model is emitting events faster
   /// than it advances time; surfaced as the "sim.clamped_events" metric.
   std::uint64_t clamped_events() const noexcept { return clamped_; }
+  /// clamped_events()'s storage, for a metric registry to read and reset.
+  std::uint64_t* clamped_events_cell() noexcept { return &clamped_; }
 
   /// Pre-grows the timer wheel's node pool to `events` concurrently
   /// pending events (see TimerWheel::reserve), so scheduling never

@@ -1,7 +1,5 @@
 #include "sim/link.h"
 
-#include <algorithm>
-
 #include "common/metrics.h"
 
 namespace ncache::sim {
@@ -25,13 +23,7 @@ void Link::transmit(std::size_t bytes, InlineCallback delivered) {
     return;
   }
 
-  Time start = std::max(loop_.now(), idle_at_);
-  Duration ser = tx_time(bytes);
-  Time done_tx = start + ser;
-  idle_at_ = done_tx;
-
-  Time acct_start = std::max(start, window_start_);
-  if (done_tx > acct_start) busy_ns_ += done_tx - acct_start;
+  Time done_tx = window_.book(loop_.now(), tx_time(bytes));
   ++frames_;
   payload_bytes_ += bytes;
 
@@ -46,38 +38,11 @@ void Link::transmit(std::size_t bytes, InlineCallback delivered) {
   loop_.schedule_at(deliver_at, std::move(delivered));
 }
 
-double Link::utilization() const noexcept {
-  Time now = loop_.now();
-  if (now <= window_start_) return 0.0;
-  Duration elapsed = now - window_start_;
-  Duration busy = busy_ns_;
-  if (idle_at_ > now) {
-    Duration future = idle_at_ - now;
-    busy = busy > future ? busy - future : 0;
-  }
-  return std::min(1.0, double(busy) / double(elapsed));
-}
-
-void Link::reset_stats() noexcept {
-  busy_ns_ = 0;
-  frames_ = 0;
-  payload_bytes_ = 0;
-  window_start_ = loop_.now();
-  if (idle_at_ > window_start_) busy_ns_ = idle_at_ - window_start_;
-}
-
-void Link::register_metrics(MetricRegistry& registry, const std::string& node,
-                            const std::string& prefix) {
-  registry.gauge(node, prefix + ".utilization",
-                 [this] { return utilization(); });
-  registry.counter(node, prefix + ".frames", [this] { return frames_; });
-  registry.bytes(node, prefix + ".payload_bytes",
-                 [this] { return payload_bytes_; });
-  registry.counter(node, prefix + ".dropped_down",
-                   [this] { return dropped_down_; });
-  registry.counter(node, prefix + ".dropped_faults",
-                   [this] { return dropped_faults_; });
-  registry.on_reset([this] { reset_stats(); });
+void Link::register_utilization(MetricRegistry& registry,
+                                const std::string& node,
+                                const std::string& name) {
+  registry.gauge(node, name, [this] { return utilization(); });
+  registry.on_reset([this] { restart_window(); });
 }
 
 }  // namespace ncache::sim

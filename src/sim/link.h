@@ -1,14 +1,16 @@
 // Serializing point-to-point link model.
 //
 // A Link is unidirectional: frames queue behind each other at the line
-// rate, then arrive after the propagation delay. Utilization accounting
-// mirrors CpuModel so benches can identify which resource saturates.
+// rate, then arrive after the propagation delay. Its busy time is a
+// sim::BusyWindow, like a CPU core's, so benches can identify which
+// resource saturates.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
 
+#include "sim/busy_window.h"
 #include "sim/cost_model.h"
 #include "sim/event_loop.h"
 
@@ -64,19 +66,23 @@ class Link {
   std::uint64_t dropped_down() const noexcept { return dropped_down_; }
   std::uint64_t dropped_faults() const noexcept { return dropped_faults_; }
 
-  /// Busy fraction since last reset_stats().
-  double utilization() const noexcept;
+  /// Busy fraction of the current window.
+  double utilization() const noexcept {
+    return window_.utilization(loop_.now());
+  }
+  /// Frames and payload bytes serialized since construction.
   std::uint64_t frames() const noexcept { return frames_; }
   std::uint64_t payload_bytes() const noexcept { return payload_bytes_; }
-  void reset_stats() noexcept;
+  /// Starts a fresh busy window now; frames still serializing carry into it.
+  void restart_window() noexcept { window_.restart(loop_.now()); }
 
   /// Serialization time for a frame of `bytes` payload.
   Duration tx_time(std::size_t bytes) const noexcept;
 
-  /// Publishes <prefix>.utilization / .frames / .payload_bytes under `node`
-  /// and hooks reset_stats() into the registry reset.
-  void register_metrics(MetricRegistry& registry, const std::string& node,
-                        const std::string& prefix);
+  /// Publishes utilization() as the gauge `name` under `node` and hooks
+  /// restart_window() into the registry reset.
+  void register_utilization(MetricRegistry& registry, const std::string& node,
+                            const std::string& name);
 
   const std::string& name() const noexcept { return name_; }
 
@@ -87,11 +93,9 @@ class Link {
   Duration latency_ns_;
   std::uint32_t overhead_bytes_;
 
-  Time idle_at_ = 0;
-  Duration busy_ns_ = 0;
+  BusyWindow window_;
   std::uint64_t frames_ = 0;
   std::uint64_t payload_bytes_ = 0;
-  Time window_start_ = 0;
 
   bool admin_up_ = true;
   DropHook drop_hook_;

@@ -115,8 +115,8 @@ class Testbed {
   MetricRegistry& metrics() noexcept { return world_.metrics(); }
   const MetricRegistry& metrics() const noexcept { return world_.metrics(); }
 
-  /// Resets every utilization window / counter for a measurement interval
-  /// (fans out through the registry's reset hooks).
+  /// Starts a measurement window: the registry zeroes every counter and
+  /// histogram, then restarts the utilization windows.
   void reset_stats() { world_.reset_stats(); }
 
   // ---- fault scenarios -------------------------------------------------------

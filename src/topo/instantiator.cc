@@ -453,12 +453,20 @@ void World::register_all_metrics() {
   // subsystems in topology declaration order, then the fault injector.
   // NFS servers/clients join in start_nfs(). Node ids are the metric
   // labels, so JSON keys are identical across world shapes.
-  metrics_.counter("sim", "clamped_events", [this] {
-    if (!engine_) return loop_.clamped_events();
-    std::uint64_t total = 0;
-    for (auto& l : domain_loops_) total += l->clamped_events();
-    return total;
-  });
+  if (!engine_) {
+    metrics_.counter("sim", "clamped_events", loop_.clamped_events_cell());
+  } else {
+    // A sum over the domain loops: computed, so the world restarts every
+    // loop's count itself.
+    metrics_.computed_counter("sim", "clamped_events", [this] {
+      std::uint64_t total = 0;
+      for (auto& l : domain_loops_) total += l->clamped_events();
+      return total;
+    });
+    metrics_.on_reset([this] {
+      for (auto& l : domain_loops_) *l->clamped_events_cell() = 0;
+    });
+  }
   // Host-side counters: the process slab is warm from earlier worlds in
   // the same process, so its counts are not this world's alone.
   metrics_.host_counter("sim", "netbuf.slab_hits",
@@ -487,14 +495,7 @@ void World::register_all_metrics() {
         if (s.ncache) s.ncache->register_metrics(metrics_, id);
         if (s.peers) s.peers->register_metrics(metrics_, id);
         if (s.block_client) s.block_client->register_metrics(metrics_, id);
-        if (s.retry_budget) {
-          overload::RetryBudget* b = s.retry_budget.get();
-          metrics_.counter(id, "retry_budget.denied",
-                           [b] { return b->denied(); });
-          metrics_.counter(id, "retry_budget.withdrawn",
-                           [b] { return b->withdrawn(); });
-          metrics_.on_reset([b] { b->reset_counters(); });
-        }
+        if (s.retry_budget) s.retry_budget->register_metrics(metrics_, id);
         break;
       }
       case NodeKind::Client:
@@ -603,13 +604,8 @@ void World::start_nfs() {
     if (config_.overload.retry_budget) {
       client_budgets_.push_back(
           std::make_unique<overload::RetryBudget>(config_.overload.budget));
-      overload::RetryBudget* b = client_budgets_.back().get();
-      nfs_clients_.back()->set_retry_budget(b);
-      metrics_.counter(client_id, "retry_budget.denied",
-                       [b] { return b->denied(); });
-      metrics_.counter(client_id, "retry_budget.withdrawn",
-                       [b] { return b->withdrawn(); });
-      metrics_.on_reset([b] { b->reset_counters(); });
+      nfs_clients_.back()->set_retry_budget(client_budgets_.back().get());
+      client_budgets_.back()->register_metrics(metrics_, client_id);
     }
     nfs_clients_.back()->register_metrics(metrics_, client_id);
   }

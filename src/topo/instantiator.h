@@ -338,8 +338,8 @@ class World {
 
   bool started_ = false;
 
-  /// Declared last: sampling callbacks hold raw pointers into the members
-  /// above, so the registry must never outlive them.
+  /// Declared last: its counter cells and sampling callbacks point into
+  /// the members above, so the registry must never outlive them.
   MetricRegistry metrics_;
 };
 

@@ -191,13 +191,6 @@ TEST(Zipf, RejectsDegenerateArgs) {
   EXPECT_THROW(ZipfSampler(10, -1.0), std::invalid_argument);
 }
 
-TEST(Stats, ByteMeterRate) {
-  ByteMeter m;
-  m.add(1'000'000);  // 1 MB over 0.5 s -> 2 MB/s
-  EXPECT_DOUBLE_EQ(m.mb_per_sec(500'000'000), 2.0);
-  EXPECT_DOUBLE_EQ(m.mb_per_sec(0), 0.0);
-}
-
 TEST(Stats, LatencyHistogramBasics) {
   LatencyHistogram h;
   h.record(500);
@@ -210,13 +203,6 @@ TEST(Stats, LatencyHistogramBasics) {
   EXPECT_GE(h.quantile_ns(1.0), 1'000'000u);
   h.reset();
   EXPECT_EQ(h.count(), 0u);
-}
-
-TEST(Stats, ByteMeterZeroIntervalYieldsZeroRate) {
-  ByteMeter m;
-  EXPECT_DOUBLE_EQ(m.mb_per_sec(0), 0.0);  // empty meter, empty window
-  m.add(1'000'000);
-  EXPECT_DOUBLE_EQ(m.mb_per_sec(0), 0.0);  // bytes but a zero window
 }
 
 TEST(Stats, LatencyHistogramQuantileEmpty) {

@@ -83,7 +83,7 @@ TEST_P(BurstLossHops, ReadsConvergeByteIdentical) {
 
   run_on(tb, [&]() -> Task<void> { co_await read_and_verify(tb, ino, kSize); });
 
-  EXPECT_GT(inj.frames_dropped(), 0u) << "fault window never bit";
+  EXPECT_GT(inj.stats().frames_dropped, 0u) << "fault window never bit";
   EXPECT_EQ(inj.stats().burst_windows, 2u);  // one GE stream per direction
 }
 

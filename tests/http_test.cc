@@ -123,7 +123,7 @@ TEST(HttpCopyCounts, SendfileIsOneCopyOnHitTwoOnMiss) {
     // Warm metadata (root dir + inode blocks) with a 404 probe + getattr
     // via a first small read of a *different* file than we measure.
     (void)co_await e.client->get("/missing");
-    e.tb->server_node().copier.reset_stats();
+    e.tb->reset_stats();
 
     // Cold file: miss = initiator copy + sendfile copy = 2.
     auto r = co_await e.client->get("/index.html");
@@ -133,7 +133,7 @@ TEST(HttpCopyCounts, SendfileIsOneCopyOnHitTwoOnMiss) {
     EXPECT_EQ(e.tb->server_node().copier.stats().data_copy_ops, 2u);
 
     // Warm file: hit = sendfile copy only = 1.
-    e.tb->server_node().copier.reset_stats();
+    e.tb->reset_stats();
     r = co_await e.client->get("/index.html");
     EXPECT_EQ(r.status, 200);
     EXPECT_EQ(e.tb->server_node().copier.stats().data_copy_ops, 1u);
@@ -145,7 +145,7 @@ TEST(HttpNCache, ZeroServerDataCopiesAndSubstitution) {
   e.run([&]() -> Task<void> {
     EXPECT_TRUE(co_await e.client->connect());
     (void)co_await e.client->get("/missing");
-    e.tb->server_node().copier.reset_stats();
+    e.tb->reset_stats();
     auto r = co_await e.client->get("/big.bin");
     EXPECT_EQ(r.status, 200);
     EXPECT_FALSE(r.junk);

@@ -93,9 +93,9 @@ TEST(Nic, IngressFilterDropsAndCounts) {
                         MsgBuffer::from_string("x"));
   t.loop.run();
   EXPECT_EQ(got, 0);
-  EXPECT_EQ(t.stacks[1]->nic(0).dropped(), 1u);
+  EXPECT_EQ(t.stacks[1]->nic(0).stats().dropped, 1u);
   // The frame still counted as received at the NIC (it reached the host).
-  EXPECT_EQ(t.stacks[1]->nic(0).rx_frames().value(), 1u);
+  EXPECT_EQ(t.stacks[1]->nic(0).stats().rx_frames, 1u);
 }
 
 TEST(Stack, SendFromUnknownSourceIpThrows) {

@@ -5,6 +5,7 @@
 
 #include <cstring>
 
+#include "common/metrics.h"
 #include "netbuf/cache_key.h"
 #include "netbuf/copy_engine.h"
 #include "netbuf/msg_buffer.h"
@@ -531,9 +532,13 @@ TEST_F(CopyEngineTest, ChecksumCharging) {
 }
 
 TEST_F(CopyEngineTest, ResetStats) {
+  MetricRegistry registry;
+  eng_.register_metrics(registry, "node");
   eng_.copy_bytes_in(pattern(10), CopyClass::RegularData);
-  eng_.reset_stats();
+  EXPECT_EQ(registry.counter_value("node", "copy.data_ops"), 1u);
+  registry.reset_all();  // the registry owns the window of every copy.* cell
   EXPECT_EQ(eng_.stats().data_copy_ops, 0u);
+  EXPECT_EQ(eng_.stats().data_copy_bytes, 0u);
 }
 
 }  // namespace

@@ -229,13 +229,13 @@ TEST(NfsCopyCounts, OriginalReadMissIsThreeCopies) {
     auto& client = e.tb->nfs_client(0);
     // Warm metadata so only the data path is measured.
     (void)co_await client.getattr(e.file_ino);
-    e.tb->server_node().copier.reset_stats();
+    e.tb->reset_stats();
     auto r = co_await client.read(e.file_ino, 0, fs::kBlockSize);
     EXPECT_EQ(r.status, Status::Ok);
     // Miss: iSCSI->buffer cache, cache->daemon, daemon->stack.
     EXPECT_EQ(e.tb->server_node().copier.stats().data_copy_ops, 3u);
 
-    e.tb->server_node().copier.reset_stats();
+    e.tb->reset_stats();
     r = co_await client.read(e.file_ino, 0, fs::kBlockSize);
     EXPECT_EQ(r.status, Status::Ok);
     // Hit: cache->daemon, daemon->stack.
@@ -252,7 +252,7 @@ TEST(NfsCopyCounts, OriginalWritePaths) {
     auto fh = co_await client.create(fs::kRootIno, "w.bin");
     EXPECT_TRUE(fh);
     if (!fh) co_return;
-    e.tb->server_node().copier.reset_stats();
+    e.tb->reset_stats();
     std::vector<std::byte> block(fs::kBlockSize);
     EXPECT_EQ(co_await client.write(*fh, 0, block), Status::Ok);
     // Overwritten-in-cache path: one copy (socket -> page cache).
@@ -269,7 +269,7 @@ TEST(NfsCopyCounts, NCacheMovesNoDataBytes) {
   e.run([&]() -> Task<void> {
     auto& client = e.tb->nfs_client(0);
     (void)co_await client.getattr(e.file_ino);
-    e.tb->server_node().copier.reset_stats();
+    e.tb->reset_stats();
     auto r = co_await client.read(e.file_ino, 0, 32768);
     EXPECT_EQ(r.status, Status::Ok);
     EXPECT_FALSE(r.junk);

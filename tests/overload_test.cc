@@ -135,9 +135,13 @@ TEST(OverloadPrimitives, RetryBudgetDepositWithdrawReserve) {
   for (int i = 0; i < 100; ++i) b.deposit(0);
   EXPECT_DOUBLE_EQ(b.balance(0), 3.0);
 
-  b.reset_counters();
+  // A registry reset zeroes both counters; the balance is not a counter.
+  MetricRegistry registry;
+  b.register_metrics(registry, "client0");
+  registry.reset_all();
   EXPECT_EQ(b.withdrawn(), 0u);
   EXPECT_EQ(b.denied(), 0u);
+  EXPECT_DOUBLE_EQ(b.balance(0), 3.0);
 
   // The time-based reserve keeps probes alive with zero successes.
   overload::RetryBudget::Config rc;

@@ -270,7 +270,7 @@ TEST_F(TwoHostTest, UdpFragmentedDatagramReassembles) {
   loop_.run();
   EXPECT_EQ(got.to_bytes(), pat);
   // ~23 frames for 32 KB.
-  EXPECT_GE(b_.stack.nic(0).rx_frames().value(), 22u);
+  EXPECT_GE(b_.stack.nic(0).stats().rx_frames, 22u);
 }
 
 TEST_F(TwoHostTest, UdpEchoRequestResponse) {

@@ -170,7 +170,7 @@ TEST(Cpu, UtilizationWindowReset) {
   loop.schedule_at(1000, [] {});
   loop.run();
   EXPECT_NEAR(cpu.utilization(), 0.5, 1e-9);
-  cpu.reset_stats();
+  cpu.restart_window();
   loop.schedule_at(2000, [] {});
   loop.run();
   EXPECT_NEAR(cpu.utilization(), 0.0, 1e-9);

@@ -71,14 +71,14 @@ TEST(WireTarget, ColdReadIsOneCopyWarmReadIsZero) {
     (void)co_await client.getattr(ino);  // warm server metadata
 
     // Cold block: one disk-to-wire copy on the target.
-    tb.storage_node().copier.reset_stats();
+    tb.reset_stats();
     (void)co_await client.read(ino, 0, fs::kBlockSize);
     EXPECT_EQ(tb.storage_node().copier.stats().data_copy_ops, 1u);
 
     // Warm block via a different fs offset (app-server caches would hide
     // repeats of the same block): evict app caches, reread.
     co_await tb.fs().cache().drop_all();
-    tb.storage_node().copier.reset_stats();
+    tb.reset_stats();
     (void)co_await client.read(ino, 0, fs::kBlockSize);
     EXPECT_EQ(tb.storage_node().copier.stats().data_copy_ops, 0u);
   });
