@@ -37,7 +37,8 @@ Point allhit_run(TestbedConfig cfg, const BenchOptions& opts,
   Testbed tb(cfg);
   std::uint32_t ino = tb.image().add_file("hot.bin", kHot);
   tb.start_nfs();
-  sim::sync_wait(tb.loop(), warm_sequential(tb, ino, kHot, request, 1));
+  sim::sync_wait(tb.loop(), workload::read_file(tb.nfs_client(0), ino, 0,
+                                                kHot, request, nullptr));
   NfsRunConfig rc;
   rc.request_size = request;
   rc.streams_per_client = 10;
@@ -94,7 +95,8 @@ Point miss_run(PassMode mode, std::size_t fs_cache_blocks,
   const std::uint64_t set_bytes = opts.smoke ? 8ull << 20 : 48ull << 20;
   std::uint32_t ino = tb.image().add_file("set.bin", set_bytes);
   tb.start_nfs();
-  sim::sync_wait(tb.loop(), warm_sequential(tb, ino, set_bytes, 32768, 1));
+  sim::sync_wait(tb.loop(), workload::read_file(tb.nfs_client(0), ino, 0,
+                                                set_bytes, 32768, nullptr));
   NfsRunConfig rc;
   rc.request_size = 32768;
   rc.streams_per_client = 8;
@@ -190,7 +192,8 @@ Point wire_target_run(PassMode mode, bool wire_target,
   const std::uint64_t set_bytes = opts.smoke ? 8ull << 20 : 48ull << 20;
   std::uint32_t ino = tb.image().add_file("set.bin", set_bytes);
   tb.start_nfs();
-  sim::sync_wait(tb.loop(), warm_sequential(tb, ino, set_bytes, 32768, 1));
+  sim::sync_wait(tb.loop(), workload::read_file(tb.nfs_client(0), ino, 0,
+                                                set_bytes, 32768, nullptr));
   NfsRunConfig rc;
   rc.request_size = 32768;
   rc.streams_per_client = 8;

@@ -169,18 +169,6 @@ json::Value measured_json(const testbed::Testbed& tb,
   return m;
 }
 
-Task<void> warm_sequential(testbed::Testbed& tb, std::uint64_t fh,
-                           std::uint64_t file_size, std::uint32_t request,
-                           int passes) {
-  for (int p = 0; p < passes; ++p) {
-    for (std::uint64_t off = 0; off < file_size; off += request) {
-      auto want = std::uint32_t(
-          std::min<std::uint64_t>(request, file_size - off));
-      (void)co_await tb.nfs_client(0).read(fh, off, want);
-    }
-  }
-}
-
 namespace {
 
 // Periodic utilization sampler running inside the measurement window.
@@ -209,27 +197,27 @@ Task<void> timeline_sampler(testbed::Testbed* tb, sim::Time window_start,
 
 }  // namespace
 
-NfsRunResult run_nfs_read_workload(testbed::Testbed& tb, std::uint64_t fh,
+NfsRunResult run_nfs_read_workload(testbed::Testbed& tb, std::uint32_t ino,
                                    std::uint64_t file_size,
                                    const NfsRunConfig& config) {
   workload::StopFlag stop;
-  workload::Counters counters;
+  NfsRunResult result;
   // One shared cursor: all streams pipeline a single sequential sweep.
   auto seq_cursor = std::make_shared<std::uint64_t>(0);
+  auto hot_file = std::make_shared<workload::FileSet>();
+  hot_file->entries.push_back({ino, file_size, ""});
 
   for (int ci = 0; ci < tb.client_count(); ++ci) {
     for (int s = 0; s < config.streams_per_client; ++s) {
-      std::uint32_t worker_seed =
-          std::uint32_t(ci * 100 + s + 1);
       if (config.hot) {
-        workload::hot_read_worker(tb.nfs_client(ci), fh, file_size,
-                                  config.request_size, worker_seed, &stop,
-                                  &counters)
+        Pcg32 rng(std::uint32_t(ci * 100 + s + 1));
+        workload::random_reader(tb.nfs_client(ci), hot_file, nullptr, rng,
+                                config.request_size, &stop, &result.stream)
             .detach();
       } else {
-        workload::windowed_sequential_worker(tb.nfs_client(ci), fh,
-                                             file_size, config.request_size,
-                                             seq_cursor, &stop, &counters)
+        workload::sequential_reader(tb.nfs_client(ci), ino, file_size,
+                                    config.request_size, seq_cursor, &stop,
+                                    &result.stream)
             .detach();
       }
     }
@@ -238,7 +226,6 @@ NfsRunResult run_nfs_read_workload(testbed::Testbed& tb, std::uint64_t fh,
   tb.reset_stats();
   sim::Time window_start = tb.loop().now();
 
-  NfsRunResult result;
   if (config.timeline_samples > 0) {
     timeline_sampler(
         &tb, window_start,
@@ -250,8 +237,7 @@ NfsRunResult run_nfs_read_workload(testbed::Testbed& tb, std::uint64_t fh,
   workload::run_measurement(tb.loop(), stop, config.duration);
 
   result.snapshot = tb.snapshot(window_start);
-  result.counters = counters;
-  result.throughput_mb_s = counters.mb_per_sec(config.duration);
+  result.throughput_mb_s = result.stream.mb_per_sec(config.duration);
   result.server_cpu = result.snapshot.server_cpu;
   result.storage_cpu = result.snapshot.storage_cpu;
   result.link_util = result.snapshot.server_link_util;
@@ -267,6 +253,38 @@ NfsRunConfig standard_nfs_run(const BenchOptions& opts, std::uint32_t request,
   rc.duration = (opts.smoke ? 60 : 600) * sim::kMillisecond;
   rc.timeline_samples = opts.smoke ? 2 : 6;
   return rc;
+}
+
+Task<void> traced_read(nfs::NfsClient& client, std::uint32_t ino,
+                       std::uint64_t begin, std::uint64_t end, Trace& trace) {
+  for (std::uint64_t off = begin; off < end; off += Trace::kChunk) {
+    auto r = co_await client.read(ino, off, Trace::kChunk);
+    if (r.status == nfs::Status::Ok &&
+        workload::verify_payload(ino, off, r.data)) {
+      trace.done_at.push_back(client.loop().now());
+    } else {
+      ++trace.errors;
+    }
+  }
+}
+
+json::Value goodput_timeline(const Trace& t, sim::Duration bucket) {
+  auto timeline = json::Value::array();
+  if (t.done_at.empty()) return timeline;
+  sim::Time last = t.done_at.back();
+  std::size_t i = 0;
+  for (sim::Time start = 0; start <= last; start += bucket) {
+    std::uint64_t bytes = 0;
+    while (i < t.done_at.size() && t.done_at[i] < start + bucket) {
+      bytes += Trace::kChunk;
+      ++i;
+    }
+    auto point = json::Value::object();
+    point.set("t_ms", double(start) / 1e6);
+    point.set("goodput_mb_s", double(bytes) / 1e6 / (double(bucket) / 1e9));
+    timeline.push_back(std::move(point));
+  }
+  return timeline;
 }
 
 }  // namespace ncache::bench

@@ -146,14 +146,8 @@ json::Value measured_json(const testbed::Testbed& tb,
                           const testbed::Testbed::Snapshot& snap,
                           double throughput_mb_s);
 
-/// Warms the app-server caches with `passes` sequential read sweeps of the
-/// file (issued from client 0).
-Task<void> warm_sequential(testbed::Testbed& tb, std::uint64_t fh,
-                           std::uint64_t file_size, std::uint32_t request,
-                           int passes = 1);
-
 /// Runs `streams_per_client` sequential readers (all-miss shape) or hot
-/// random readers (all-hit shape) for `duration`, returning the counters.
+/// random readers (all-hit shape) for `duration`, returning their stream.
 struct NfsRunConfig {
   std::uint32_t request_size = 32768;
   int streams_per_client = 6;
@@ -165,7 +159,7 @@ struct NfsRunConfig {
 };
 
 struct NfsRunResult {
-  workload::Counters counters;
+  workload::Stream stream;
   testbed::Testbed::Snapshot snapshot;
   double throughput_mb_s = 0;
   double server_cpu = 0;
@@ -174,7 +168,7 @@ struct NfsRunResult {
   json::Value timeline = json::Value::array();
 };
 
-NfsRunResult run_nfs_read_workload(testbed::Testbed& tb, std::uint64_t fh,
+NfsRunResult run_nfs_read_workload(testbed::Testbed& tb, std::uint32_t ino,
                                    std::uint64_t file_size,
                                    const NfsRunConfig& config);
 
@@ -184,5 +178,26 @@ NfsRunConfig standard_nfs_run(const BenchOptions& opts, std::uint32_t request,
                               int streams_per_client, bool hot);
 
 inline const char* mode_name(core::PassMode m) { return core::to_string(m); }
+
+// ---- chaos traces ---------------------------------------------------------
+
+/// Completion trace of verified kChunk-sized reads (the chaos benches):
+/// when each verified chunk completed, and how many chunks failed.
+struct Trace {
+  static constexpr std::uint32_t kChunk = 32768;
+  std::vector<sim::Time> done_at;
+  std::uint64_t errors = 0;  ///< non-Ok status or content mismatch
+
+  std::uint64_t bytes() const { return done_at.size() * kChunk; }
+};
+
+/// Reads [begin, end) of `ino` in Trace::kChunk pieces, in order; a chunk
+/// that comes back OK and verifies (workload::verify_payload) records its
+/// completion instant, any other counts an error.
+Task<void> traced_read(nfs::NfsClient& client, std::uint32_t ino,
+                       std::uint64_t begin, std::uint64_t end, Trace& trace);
+
+/// Buckets the trace into a goodput timeline over [0, last completion].
+json::Value goodput_timeline(const Trace& t, sim::Duration bucket);
 
 }  // namespace ncache::bench

@@ -60,15 +60,15 @@ constexpr double kSpikeMultiplier = 10.0;
 constexpr double kBaseRatePerClient = 50.0;
 constexpr std::uint32_t kRequestBytes = 32768;
 
-/// Completed-ok ops per bucket, sampled from the workload counters.
+/// Completed-ok ops per bucket, sampled from the workload streams.
 Task<void> sample_goodput(sim::EventLoop& loop,
-                          const std::vector<workload::Counters>* counters,
+                          const std::vector<workload::Stream>* streams,
                           sim::Time until, std::vector<std::uint64_t>* out) {
   std::uint64_t prev = 0;
   while (loop.now() < until) {
     co_await sim::sleep_for(loop, kBucket);
     std::uint64_t total = 0;
-    for (const auto& c : *counters) total += c.ops;
+    for (const auto& s : *streams) total += s.ops;
     out->push_back(total - prev);
     prev = total;
   }
@@ -108,14 +108,8 @@ json::Value run_scenario(bool shedding, double* ratio_out) {
   cfg.fs_cache_blocks = 256;
   cfg.ncache_budget_bytes = 4u << 20;
   Testbed tb(cfg);
-  auto files = std::make_shared<
-      std::vector<std::pair<std::uint64_t, std::uint64_t>>>();
-  constexpr std::uint64_t kFileBytes = 16 << 20;
-  for (int i = 0; i < 64; ++i) {
-    files->push_back(
-        {tb.image().add_file("w" + std::to_string(i), kFileBytes),
-         kFileBytes});
-  }
+  auto files = std::make_shared<workload::FileSet>();
+  files->add(tb.image(), "w", 64, 16 << 20);
   tb.start_nfs();
 
   workload::LoadCurve::Config lc;
@@ -124,17 +118,16 @@ json::Value run_scenario(bool shedding, double* ratio_out) {
   auto curve = std::make_shared<const workload::LoadCurve>(lc);
 
   const int n = tb.client_count();
-  std::vector<workload::Counters> counters;
-  counters.resize(std::size_t(n));
+  std::vector<workload::Stream> streams(static_cast<std::size_t>(n));
   workload::StopFlag stop;
   for (int c = 0; c < n; ++c) {
     workload::open_loop_nfs_reads(tb.nfs_client(c), curve, files,
                                   kRequestBytes, std::uint32_t(500 + c),
-                                  &stop, &counters[std::size_t(c)])
+                                  &stop, &streams[std::size_t(c)])
         .detach(tb.loop().reaper());
   }
   std::vector<std::uint64_t> buckets;
-  sample_goodput(tb.loop(), &counters, kPostEnd, &buckets)
+  sample_goodput(tb.loop(), &streams, kPostEnd, &buckets)
       .detach(tb.loop().reaper());
   workload::run_measurement(tb.loop(), stop, kPostEnd);
 
@@ -144,9 +137,9 @@ json::Value run_scenario(bool shedding, double* ratio_out) {
   *ratio_out = ratio;
 
   std::uint64_t ok = 0, errors = 0, denied = 0, retransmits = 0;
-  for (const auto& c : counters) {
-    ok += c.ops;
-    errors += c.errors;
+  for (const auto& s : streams) {
+    ok += s.ops;
+    errors += s.errors;
   }
   for (int c = 0; c < n; ++c) {
     denied += tb.nfs_client(c).stats().budget_denied;

@@ -29,59 +29,22 @@ namespace {
 using core::PassMode;
 using nfs::Status;
 
-constexpr std::uint32_t kChunk = 32768;
+constexpr std::uint32_t kChunk = Trace::kChunk;
 constexpr std::uint64_t kWriteBytes = 32768;
 
 inline std::byte wbyte(std::uint64_t i) {
   return std::byte((0x5A + i * 97) & 0xff);
 }
 
-/// Chunk-completion trace (see chaos_recovery): goodput over sim time.
-struct Trace {
-  std::vector<sim::Time> done_at;
-  std::uint64_t bytes = 0;
-  std::uint64_t errors = 0;
-};
-
-json::Value goodput_timeline(const Trace& t, sim::Duration bucket) {
-  auto timeline = json::Value::array();
-  if (t.done_at.empty()) return timeline;
-  sim::Time last = t.done_at.back();
-  std::size_t i = 0;
-  for (sim::Time start = 0; start <= last; start += bucket) {
-    std::uint64_t bytes = 0;
-    while (i < t.done_at.size() && t.done_at[i] < start + bucket) {
-      bytes += kChunk;
-      ++i;
-    }
-    auto point = json::Value::object();
-    point.set("t_ms", double(start) / 1e6);
-    point.set("goodput_mb_s", double(bytes) / 1e6 / (double(bucket) / 1e9));
-    timeline.push_back(std::move(point));
-  }
-  return timeline;
-}
-
-/// Closed-loop sequential reader over one file, content-verified (the
-/// file is never written, so any mismatch is an error, cut or no cut).
-Task<void> reader_worker(topo::World* world, int client, std::uint32_t ino,
-                         std::uint64_t file_bytes, workload::StopFlag* stop,
-                         Trace* trace) {
+/// Closed-loop sequential reads over one file, wrapping, until stopped.
+/// The file is never written, so any mismatch is an error, cut or no cut.
+Task<void> background_reads(nfs::NfsClient* client, std::uint32_t ino,
+                            std::uint64_t file_bytes, workload::StopFlag* stop,
+                            Trace* trace) {
   ++stop->live_workers;
-  auto& cl = world->nfs_client(client);
-  std::uint64_t off = 0;
-  while (!stop->stopped) {
-    auto r = co_await cl.read(ino, off, kChunk);
-    bool ok = r.status == Status::Ok &&
-              fs::verify_content(ino, off, r.data.to_bytes()) ==
-                  std::size_t(-1);
-    if (ok) {
-      trace->bytes += kChunk;
-      trace->done_at.push_back(world->loop().now());
-    } else {
-      ++trace->errors;
-    }
-    off = (off + kChunk) % file_bytes;
+  for (std::uint64_t off = 0; !stop->stopped;
+       off = (off + kChunk) % file_bytes) {
+    co_await traced_read(*client, ino, off, off + kChunk, *trace);
   }
   --stop->live_workers;
 }
@@ -123,18 +86,7 @@ json::Value run_cell(int racks, sim::Duration cut, std::uint64_t file_bytes,
     // Warm every rack server through its local client, both files.
     for (int c = 0; c < world.client_count(); ++c) {
       for (std::uint32_t f : {f0, f1}) {
-        for (std::uint64_t off = 0; off < file_bytes; off += kChunk) {
-          auto r = co_await world.nfs_client(c).read(f, off, kChunk);
-          bool ok = r.status == Status::Ok &&
-                    fs::verify_content(f, off, r.data.to_bytes()) ==
-                        std::size_t(-1);
-          if (ok) {
-            trace.bytes += kChunk;
-            trace.done_at.push_back(world.loop().now());
-          } else {
-            ++trace.errors;
-          }
-        }
+        co_await traced_read(world.nfs_client(c), f, 0, file_bytes, trace);
       }
     }
 
@@ -150,7 +102,7 @@ json::Value run_cell(int racks, sim::Duration cut, std::uint64_t file_bytes,
 
     // Background read pressure on the unwritten file from every rack.
     for (int c = 0; c < world.client_count(); ++c) {
-      reader_worker(&world, c, f1, file_bytes, &stop, &trace)
+      background_reads(&world.nfs_client(c), f1, file_bytes, &stop, &trace)
           .detach(world.loop().reaper());
     }
 
@@ -228,7 +180,7 @@ json::Value run_cell(int racks, sim::Duration cut, std::uint64_t file_bytes,
   auto row = json::Value::object();
   row.set("racks", std::int64_t(racks));
   row.set("partition_ms", double(cut) / 1e6);
-  row.set("bytes_verified", trace.bytes);
+  row.set("bytes_verified", trace.bytes());
   row.set("chunk_errors", trace.errors);
   row.set("stale_reads", stale_reads);
   row.set("convergence_ms", convergence_ms);

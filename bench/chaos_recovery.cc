@@ -32,32 +32,7 @@ using fault::GilbertElliott;
 using testbed::Testbed;
 using testbed::TestbedConfig;
 
-constexpr std::uint32_t kChunk = 32768;
-
-/// Per-chunk completion trace of a sequential byte-verified read.
-struct Trace {
-  std::vector<sim::Time> done_at;  ///< completion instant of each chunk
-  std::uint64_t bytes = 0;
-  std::uint64_t errors = 0;  ///< non-Ok status or content mismatch
-};
-
-Task<void> read_span(Testbed& tb, std::uint32_t ino, std::uint64_t begin,
-                     std::uint64_t end, bool verify, Trace& trace) {
-  auto& client = tb.nfs_client(0);
-  for (std::uint64_t off = begin; off < end; off += kChunk) {
-    auto r = co_await client.read(ino, off, kChunk);
-    bool ok = r.status == nfs::Status::Ok;
-    if (ok && verify) {
-      ok = fs::verify_content(ino, off, r.data.to_bytes()) == std::size_t(-1);
-    }
-    if (!ok) {
-      ++trace.errors;
-      continue;
-    }
-    trace.bytes += kChunk;
-    trace.done_at.push_back(tb.loop().now());
-  }
-}
+constexpr std::uint32_t kChunk = Trace::kChunk;
 
 /// First chunk completion strictly after `fault_at`, as latency from it
 /// (strict: the chunk whose completion *triggered* a synchronous fault
@@ -69,40 +44,20 @@ double recovery_latency_ms(const Trace& t, sim::Time fault_at) {
   return -1.0;  // never recovered — chunk_errors will flag it too
 }
 
-/// Buckets the trace into a goodput timeline over [0, last completion].
-json::Value goodput_timeline(const Trace& t, sim::Duration bucket) {
-  auto timeline = json::Value::array();
-  if (t.done_at.empty()) return timeline;
-  sim::Time last = t.done_at.back();
-  std::size_t i = 0;
-  for (sim::Time start = 0; start <= last; start += bucket) {
-    std::uint64_t bytes = 0;
-    while (i < t.done_at.size() && t.done_at[i] < start + bucket) {
-      bytes += kChunk;
-      ++i;
-    }
-    auto point = json::Value::object();
-    point.set("t_ms", double(start) / 1e6);
-    point.set("goodput_mb_s", double(bytes) / 1e6 / (double(bucket) / 1e9));
-    timeline.push_back(std::move(point));
-  }
-  return timeline;
-}
-
 /// The common row skeleton every scenario fills in.
 json::Value base_row(const std::string& name, PassMode mode, const Trace& t,
                      sim::Time fault_at, sim::Duration bucket) {
   auto row = json::Value::object();
   row.set("scenario", name);
   row.set("mode", core::to_string(mode));
-  row.set("bytes_verified", t.bytes);
+  row.set("bytes_verified", t.bytes());
   row.set("chunk_errors", t.errors);
   row.set("elapsed_ms",
           t.done_at.empty() ? 0.0 : double(t.done_at.back()) / 1e6);
   row.set("goodput_mb_s",
           t.done_at.empty()
               ? 0.0
-              : double(t.bytes) / 1e6 / (double(t.done_at.back()) / 1e9));
+              : double(t.bytes()) / 1e6 / (double(t.done_at.back()) / 1e9));
   row.set("recovery_latency_ms", recovery_latency_ms(t, fault_at));
   row.set("timeline", goodput_timeline(t, bucket));
   return row;
@@ -137,7 +92,8 @@ json::Value run_burst_loss(const BenchOptions& opts) {
   plan.apply(inj);
 
   Trace t;
-  sim::sync_wait(tb.loop(), read_span(tb, ino, 0, file_bytes, true, t));
+  sim::sync_wait(tb.loop(),
+                 traced_read(tb.nfs_client(0), ino, 0, file_bytes, t));
 
   auto row = base_row("burst_loss_server_hop", cfg.mode, t, fault_at, bucket);
   auto c = json::Value::object();
@@ -164,7 +120,8 @@ json::Value run_link_flap(const BenchOptions& opts) {
   plan.apply(inj);
 
   Trace t;
-  sim::sync_wait(tb.loop(), read_span(tb, ino, 0, file_bytes, true, t));
+  sim::sync_wait(tb.loop(),
+                 traced_read(tb.nfs_client(0), ino, 0, file_bytes, t));
 
   auto row = base_row("link_flap_client", cfg.mode, t, down_at, bucket);
   // Latency from repair (cable back up) to the next delivered chunk —
@@ -192,11 +149,12 @@ json::Value run_server_crash(const BenchOptions& opts) {
   Trace t;
   sim::Time crash_at = 0;
   auto drive = [&]() -> Task<void> {
-    co_await read_span(tb, ino, 0, file_bytes / 2, true, t);
+    co_await traced_read(tb.nfs_client(0), ino, 0, file_bytes / 2, t);
     crash_at = tb.loop().now();
     tb.crash_server();
     inj.at(crash_at + 300 * sim::kMillisecond, [&tb] { tb.restart_server(); });
-    co_await read_span(tb, ino, file_bytes / 2, file_bytes, true, t);
+    co_await traced_read(tb.nfs_client(0), ino, file_bytes / 2, file_bytes,
+                         t);
   };
   sim::sync_wait(tb.loop(), drive());
 
@@ -225,7 +183,8 @@ json::Value run_disk_fault(const BenchOptions& opts) {
                                blockdev::DiskFaultKind::LatentSectorError);
 
   Trace t;
-  sim::sync_wait(tb.loop(), read_span(tb, ino, 0, file_bytes, true, t));
+  sim::sync_wait(tb.loop(),
+                 traced_read(tb.nfs_client(0), ino, 0, file_bytes, t));
 
   auto row = base_row("disk_transient_error", cfg.mode, t, 0, bucket);
   auto c = json::Value::object();
@@ -254,11 +213,11 @@ json::Value run_ncache_degrade(const BenchOptions& opts) {
     // First read trips degradation; its payload may carry pre-trip junk
     // markers, so flush the fs cache and count verified bytes from the
     // degraded (physical-copy) path only.
-    Trace trip;
-    co_await read_span(tb, ino, 0, kChunk, false, trip);
+    co_await workload::read_file(tb.nfs_client(0), ino, 0, kChunk, kChunk,
+                                 nullptr);
     tripped_at = tb.loop().now();
     co_await tb.fs().cache().drop_all();
-    co_await read_span(tb, ino, 0, file_bytes / 2, true, t);
+    co_await traced_read(tb.nfs_client(0), ino, 0, file_bytes / 2, t);
     // Quiet period past dwell + hysteresis, then fresh-offset touches to
     // run the lazy recovery check. Touch chunks stay unverified: the one
     // that recovers immediately re-pressures the tiny pool and re-trips
@@ -267,14 +226,14 @@ json::Value run_ncache_degrade(const BenchOptions& opts) {
     // physical-copy path.
     co_await sim::sleep_for(tb.loop(), dc.min_dwell + dc.quiet_period +
                                            50 * sim::kMillisecond);
-    Trace touch;
     std::uint64_t off = file_bytes / 2;
     while (tb.ncache()->stats().degrade_exits == 0 && off < file_bytes) {
-      co_await read_span(tb, ino, off, off + kChunk, false, touch);
+      co_await workload::read_file(tb.nfs_client(0), ino, off, off + kChunk,
+                                   kChunk, nullptr);
       off += kChunk;
     }
     co_await tb.fs().cache().drop_all();
-    co_await read_span(tb, ino, off, file_bytes, true, t);
+    co_await traced_read(tb.nfs_client(0), ino, off, file_bytes, t);
   };
   sim::sync_wait(tb.loop(), drive());
 

@@ -54,9 +54,10 @@ Point run_one(PassMode mode, std::uint32_t request, const BenchOptions& opts) {
   // Short untimed ramp so queues and disk heads settle.
   {
     workload::StopFlag ramp_stop;
-    workload::Counters ramp_counters;
-    workload::sequential_read_worker(tb.nfs_client(0), ino, file_bytes,
-                                     request, 0, &ramp_stop, &ramp_counters)
+    workload::Stream ramp_stream;
+    workload::sequential_reader(tb.nfs_client(0), ino, file_bytes, request,
+                                std::make_shared<std::uint64_t>(0),
+                                &ramp_stop, &ramp_stream)
         .detach();
     workload::run_measurement(tb.loop(), ramp_stop,
                               (opts.smoke ? 10 : 50) * sim::kMillisecond);

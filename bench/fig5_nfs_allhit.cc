@@ -43,8 +43,9 @@ Point run_one(PassMode mode, int nics, std::uint32_t request,
   std::uint32_t ino = tb.image().add_file("hot.bin", kHotFileBytes);
   tb.start_nfs();
 
-  sim::sync_wait(tb.loop(),
-                 warm_sequential(tb, ino, kHotFileBytes, request, 1));
+  sim::sync_wait(tb.loop(), workload::read_file(tb.nfs_client(0), ino, 0,
+                                                kHotFileBytes, request,
+                                                nullptr));
 
   NfsRunConfig rc = standard_nfs_run(opts, request, /*streams=*/10,
                                      /*hot=*/true);

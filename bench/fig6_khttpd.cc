@@ -38,22 +38,22 @@ Point run_specweb(PassMode mode, std::uint64_t working_set_bytes,
   split_server_memory(cfg, 160ull << 20, 144ull << 20);
 
   WebBench b(cfg);
-  auto files = std::make_shared<workload::WebFileSet>(
+  auto files = std::make_shared<workload::FileSet>(
       workload::build_web_fileset(b.tb->image(), working_set_bytes));
   b.start();
   // SPECweb99-era access pattern: non-persistent connections.
   sim::sync_wait(b.tb->loop(),
                  b.connect_clients(8, /*connection_per_request=*/true));
 
-  auto zipf = std::make_shared<ZipfSampler>(files->paths.size(), 1.0);
+  auto zipf = std::make_shared<ZipfSampler>(files->entries.size(), 1.0);
 
   // Warm-up round: let the popular pages populate the caches.
   {
     workload::StopFlag warm;
-    workload::Counters wc;
+    workload::Stream ws;
     for (std::size_t i = 0; i < b.clients.size(); ++i) {
-      workload::web_get_worker(*b.clients[i], files, zipf,
-                               std::uint32_t(i + 1), &warm, &wc)
+      workload::web_get_worker(*b.clients[i], b.tb->loop(), files, zipf,
+                               std::uint32_t(i + 1), &warm, &ws)
           .detach();
     }
     workload::run_measurement(b.tb->loop(), warm,
@@ -61,17 +61,17 @@ Point run_specweb(PassMode mode, std::uint64_t working_set_bytes,
   }
 
   workload::StopFlag stop;
-  workload::Counters counters;
+  workload::Stream stream;
   for (std::size_t i = 0; i < b.clients.size(); ++i) {
-    workload::web_get_worker(*b.clients[i], files, zipf,
-                             std::uint32_t(100 + i), &stop, &counters)
+    workload::web_get_worker(*b.clients[i], b.tb->loop(), files, zipf,
+                             std::uint32_t(100 + i), &stop, &stream)
         .detach();
   }
   b.tb->reset_stats();
   sim::Time window_start = b.tb->loop().now();
   auto window = workload::run_measurement(
       b.tb->loop(), stop, (opts.smoke ? 80 : 1000) * sim::kMillisecond);
-  double mb_s = counters.mb_per_sec(window);
+  double mb_s = stream.mb_per_sec(window);
   return Point{mb_s,
                measured_json(*b.tb, b.tb->snapshot(window_start), mb_s)};
 }
@@ -86,36 +86,34 @@ Point run_allhit(PassMode mode, std::uint32_t page_bytes,
   cfg.ncache_budget_bytes = 64ull << 20;
   WebBench b(cfg);
   // A handful of pages of exactly the requested size (5 MB hot set).
-  std::vector<std::string> paths;
-  int count = int((5u << 20) / page_bytes);
-  if (count < 1) count = 1;
-  for (int i = 0; i < count; ++i) {
-    std::string name = "h" + std::to_string(i);
-    b.tb->image().add_file(name, page_bytes);
-    paths.push_back("/" + name);
-  }
+  workload::FileSet pages;
+  pages.add(b.tb->image(), "h", std::max(1, int((5u << 20) / page_bytes)),
+            page_bytes);
   b.start();
   sim::sync_wait(b.tb->loop(),
                  b.connect_clients(8, /*connection_per_request=*/true));
 
   // Warm every page once.
   auto warm_fn = [&]() -> Task<void> {
-    for (const auto& p : paths) (void)co_await b.clients[0]->get(p);
+    for (const auto& p : pages.entries) {
+      (void)co_await b.clients[0]->get("/" + p.name);
+    }
   };
   sim::sync_wait(b.tb->loop(), warm_fn());
 
   workload::StopFlag stop;
-  workload::Counters counters;
+  workload::Stream stream;
   for (std::size_t i = 0; i < b.clients.size(); ++i) {
-    workload::web_hot_worker(*b.clients[i], paths[i % paths.size()], &stop,
-                             &counters)
+    workload::web_hot_worker(*b.clients[i], b.tb->loop(),
+                             pages.entries[i % pages.entries.size()], &stop,
+                             &stream)
         .detach();
   }
   b.tb->reset_stats();
   sim::Time window_start = b.tb->loop().now();
   auto window = workload::run_measurement(
       b.tb->loop(), stop, (opts.smoke ? 60 : 500) * sim::kMillisecond);
-  double mb_s = counters.mb_per_sec(window);
+  double mb_s = stream.mb_per_sec(window);
   return Point{mb_s,
                measured_json(*b.tb, b.tb->snapshot(window_start), mb_s)};
 }

@@ -50,15 +50,11 @@ Point run_one(PassMode mode, double data_fraction, const BenchOptions& opts) {
   cfg.fs_readahead_blocks = 2;
   Testbed tb(cfg);
 
-  auto files = std::make_shared<
-      std::vector<std::pair<std::uint64_t, std::uint64_t>>>();
+  auto files = std::make_shared<workload::FileSet>();
   const std::uint64_t active_bytes = opts.smoke ? 6ull << 20 : 51ull << 20;
   const int file_count = opts.smoke ? 24 : 200;
-  for (int i = 0; i < file_count; ++i) {
-    std::uint64_t size = active_bytes / std::uint64_t(file_count);
-    auto ino = tb.image().add_file("sfs" + std::to_string(i), size);
-    files->push_back({ino, size});
-  }
+  files->add(tb.image(), "sfs", file_count,
+             active_bytes / std::uint64_t(file_count));
   tb.start_nfs();
 
   workload::SpecSfsConfig sc;
@@ -69,21 +65,18 @@ Point run_one(PassMode mode, double data_fraction, const BenchOptions& opts) {
   // Warm round: touch the whole active set sequentially, then mix.
   {
     auto warm_fn = [&]() -> Task<void> {
-      for (const auto& [fh, size] : *files) {
-        for (std::uint64_t off = 0; off < size; off += 32768) {
-          (void)co_await tb.nfs_client(0).read(
-              fh, off,
-              std::uint32_t(std::min<std::uint64_t>(32768, size - off)));
-        }
+      for (const auto& f : files->entries) {
+        co_await workload::read_file(tb.nfs_client(0), f.ino, 0, f.size,
+                                     32768, nullptr);
       }
     };
     sim::sync_wait(tb.loop(), warm_fn());
     workload::StopFlag warm;
-    workload::Counters wc;
+    workload::Stream ws;
     for (int ci = 0; ci < tb.client_count(); ++ci) {
       for (int w = 0; w < workers_per_client; ++w) {
         workload::specsfs_worker(tb.nfs_client(ci), files, sc,
-                                 std::uint32_t(ci * 100 + w), &warm, &wc)
+                                 std::uint32_t(ci * 100 + w), &warm, &ws)
             .detach();
       }
     }
@@ -93,12 +86,12 @@ Point run_one(PassMode mode, double data_fraction, const BenchOptions& opts) {
   }
 
   workload::StopFlag stop;
-  workload::Counters counters;
+  workload::Stream stream;
   for (int ci = 0; ci < tb.client_count(); ++ci) {
     for (int w = 0; w < workers_per_client; ++w) {
       workload::specsfs_worker(tb.nfs_client(ci), files, sc,
                                std::uint32_t(1000 + ci * 100 + w), &stop,
-                               &counters)
+                               &stream)
           .detach();
     }
   }
@@ -108,9 +101,9 @@ Point run_one(PassMode mode, double data_fraction, const BenchOptions& opts) {
   auto window = workload::run_measurement(
       tb.loop(), stop, (opts.smoke ? 100 : 1000) * sim::kMillisecond);
   Point p;
-  p.ops_s = counters.ops_per_sec(window);
+  p.ops_s = stream.ops_per_sec(window);
   p.measured = measured_json(tb, tb.snapshot(window_start),
-                             counters.mb_per_sec(window));
+                             stream.mb_per_sec(window));
   p.measured.set("ops_per_sec", p.ops_s);
   return p;
 }

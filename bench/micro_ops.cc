@@ -234,7 +234,8 @@ int write_report(const ncache::bench::BenchOptions& opts) {
     constexpr std::uint64_t kHot = 2 << 20;
     std::uint32_t ino = tb.image().add_file("hot.bin", kHot);
     tb.start_nfs();
-    sim::sync_wait(tb.loop(), warm_sequential(tb, ino, kHot, 32768, 1));
+    sim::sync_wait(tb.loop(), workload::read_file(tb.nfs_client(0), ino, 0,
+                                                  kHot, 32768, nullptr));
     NfsRunConfig rc;
     rc.request_size = 32768;
     rc.streams_per_client = 4;

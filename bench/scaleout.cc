@@ -30,8 +30,10 @@ using cluster::ClusterTestbed;
 using cluster::HashRing;
 using cluster::Routing;
 using core::PassMode;
-using workload::Counters;
+using workload::FileSet;
+using workload::OpClass;
 using workload::StopFlag;
+using workload::Stream;
 
 constexpr std::uint32_t kChunk = 32768;
 
@@ -49,43 +51,19 @@ Sizes sizes(const BenchOptions& opts) {
              : Sizes{64, 64 * 1024, 800 * sim::kMillisecond, {1, 2, 4, 8}, 4};
 }
 
-std::unique_ptr<ClusterTestbed> make_cluster(
-    int servers, Routing routing, const Sizes& sz,
-    std::vector<std::pair<std::uint64_t, std::uint64_t>>* files) {
+std::unique_ptr<ClusterTestbed> make_cluster(int servers, Routing routing,
+                                             const Sizes& sz,
+                                             FileSet* files) {
   auto tb = std::make_unique<ClusterTestbed>(
       cluster_config(PassMode::NCache, servers, 2 * servers, routing));
-  for (int i = 0; i < sz.file_count; ++i) {
-    auto ino = tb->image().add_file("z" + std::to_string(i), sz.file_bytes);
-    files->push_back({ino, sz.file_bytes});
-  }
+  files->add(tb->image(), "z", sz.file_count, sz.file_bytes);
   return tb;
-}
-
-/// Closed-loop Zipf-popular reader against the cluster VIP.
-Task<void> zipf_worker(ClusterTestbed* tb, int client,
-                       const std::vector<std::pair<std::uint64_t,
-                                                   std::uint64_t>>* files,
-                       const ZipfSampler* zipf, StopFlag* stop,
-                       Counters* counters) {
-  ++stop->live_workers;
-  Pcg32 rng(/*seed=*/2026, 0x5ca1e000u + std::uint64_t(client));
-  auto& cl = tb->nfs_client(client);
-  while (!stop->stopped) {
-    auto [fh, size] = (*files)[zipf->sample(rng)];
-    auto chunks = std::uint32_t(size / kChunk);
-    std::uint64_t off = std::uint64_t(kChunk) * rng.below(chunks ? chunks : 1);
-    sim::Time t0 = tb->loop().now();
-    auto r = co_await cl.read(fh, off, kChunk);
-    counters->record(r.data.size(), tb->loop().now() - t0,
-                     r.status == nfs::Status::Ok);
-  }
-  --stop->live_workers;
 }
 
 /// Shared row skeleton: aggregate goodput plus the cluster-wide read
 /// split and peering counters.
 json::Value cluster_row(const std::string& workload, ClusterTestbed& tb,
-                        const Counters& agg, sim::Duration window) {
+                        const Stream& agg, sim::Duration window) {
   std::uint64_t local = 0, peer = 0, target = 0, fetches = 0, pushes = 0;
   std::uint64_t invalidates = 0;
   for (int i = 0; i < tb.server_count(); ++i) {
@@ -111,8 +89,9 @@ json::Value cluster_row(const std::string& workload, ClusterTestbed& tb,
   row.set("ops", agg.ops);
   row.set("errors", agg.errors);
   row.set("goodput_mb_s", agg.mb_per_sec(window));
-  row.set("latency_p50_us", double(agg.latency.quantile_ns(0.5)) / 1e3);
-  row.set("latency_p99_us", double(agg.latency.quantile_ns(0.99)) / 1e3);
+  const LatencyHistogram& reads = agg.latency(OpClass::Read);
+  row.set("latency_p50_us", double(reads.quantile_ns(0.5)) / 1e3);
+  row.set("latency_p99_us", double(reads.quantile_ns(0.99)) / 1e3);
   row.set("reads_local", local);
   row.set("reads_peer", peer);
   row.set("reads_target", target);
@@ -127,15 +106,17 @@ json::Value cluster_row(const std::string& workload, ClusterTestbed& tb,
 }
 
 json::Value run_zipf(int servers, const Sizes& sz) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> files;
-  auto tb = make_cluster(servers, Routing::FlowHash, sz, &files);
+  auto files = std::make_shared<FileSet>();
+  auto tb = make_cluster(servers, Routing::FlowHash, sz, files.get());
   tb->start_nfs();
-  ZipfSampler zipf(files.size(), 1.0);
+  auto zipf = std::make_shared<const ZipfSampler>(files->entries.size(), 1.0);
 
   StopFlag stop;
-  Counters agg;
+  Stream agg;
   for (int c = 0; c < tb->client_count(); ++c) {
-    zipf_worker(tb.get(), c, &files, &zipf, &stop, &agg)
+    Pcg32 rng(/*seed=*/2026, 0x5ca1e000u + std::uint64_t(c));
+    workload::random_reader(tb->nfs_client(c), files, zipf, rng, kChunk,
+                            &stop, &agg)
         .detach(tb->loop().reaper());
   }
   workload::run_measurement(tb->loop(), stop, sz.window);
@@ -143,17 +124,15 @@ json::Value run_zipf(int servers, const Sizes& sz) {
 }
 
 json::Value run_specsfs(int servers, const Sizes& sz) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> files;
-  auto tb = make_cluster(servers, Routing::ContentHash, sz, &files);
+  auto files = std::make_shared<FileSet>();
+  auto tb = make_cluster(servers, Routing::ContentHash, sz, files.get());
   tb->start_nfs();
-  auto shared = std::make_shared<
-      std::vector<std::pair<std::uint64_t, std::uint64_t>>>(files);
 
   StopFlag stop;
-  Counters agg;
+  Stream agg;
   workload::SpecSfsConfig sc;
   for (int c = 0; c < tb->client_count(); ++c) {
-    workload::specsfs_worker(tb->nfs_client(c), shared, sc, std::uint32_t(c),
+    workload::specsfs_worker(tb->nfs_client(c), files, sc, std::uint32_t(c),
                              &stop, &agg)
         .detach(tb->loop().reaper());
   }
@@ -178,23 +157,19 @@ json::Value run_rebalance(const Sizes& sz) {
       (std::uint64_t(tb.client_ip(0)) << 16) | std::uint16_t(700);
   int victim = int(ring.owner(HashRing::mix64(flow_key)));
 
-  std::uint64_t chunk_errors = 0;
+  Stream stream;
   sim::Time crash_at = 0;
   auto drive = [&]() -> Task<void> {
     auto& client = tb.nfs_client(0);
-    for (std::uint64_t off = 0; off < file_bytes; off += kChunk) {
-      if (off == file_bytes / 2) {
-        crash_at = tb.loop().now();
-        tb.crash_replica(victim);
-      }
-      auto r = co_await client.read(ino, off, kChunk);
-      bool ok = r.status == nfs::Status::Ok &&
-                fs::verify_content(ino, off, r.data.to_bytes()) ==
-                    std::size_t(-1);
-      if (!ok) ++chunk_errors;
-    }
+    co_await workload::read_file(client, ino, 0, file_bytes / 2, kChunk,
+                                 &stream);
+    crash_at = tb.loop().now();
+    tb.crash_replica(victim);
+    co_await workload::read_file(client, ino, file_bytes / 2, file_bytes,
+                                 kChunk, &stream);
   };
   sim::sync_wait(tb.loop(), drive());
+  std::uint64_t chunk_errors = stream.errors + stream.verify_failures;
 
   auto row = json::Value::object();
   row.set("workload", "rebalance");

@@ -7,8 +7,9 @@
 // directly (no balancer). Each rack switch and the core are separate
 // engine domains, advanced in conservative trunk-latency windows.
 //
-// The deterministic fields (per-client stream digest, op count, final
-// simulated clock, round count) pin the partitioned schedule; the
+// The deterministic fields (the digest of the per-client workload streams,
+// op count, final simulated clock, round count) pin the partitioned
+// schedule; the
 // per-row "wall" block carries the simulator's cost, ops/s of wall clock
 // (tools/perf_compare.py gates it against a committed baseline).
 //
@@ -29,7 +30,6 @@ namespace ncache::bench {
 namespace {
 
 using core::PassMode;
-using nfs::Status;
 using workload::StopFlag;
 
 constexpr std::uint32_t kChunk = 32768;
@@ -48,32 +48,9 @@ Sizes sizes(const BenchOptions& opts) {
                     : Sizes{8, 2, 400 * sim::kMillisecond, 4};
 }
 
-/// Closed-loop Zipf reader folding payload bytes into an order-sensitive
-/// FNV stream hash, one counter slot per client.
-Task<void> zipf_worker(nfs::NfsClient* cl, int client,
-                       const std::vector<std::uint64_t>* files,
-                       const ZipfSampler* zipf, StopFlag* stop,
-                       std::uint64_t* stream_hash, std::uint64_t* ops) {
-  ++stop->live_workers;
-  Pcg32 rng(/*seed=*/2026, 0x5ca1e000u + std::uint64_t(client));
-  while (!stop->stopped) {
-    std::uint64_t fh = (*files)[zipf->sample(rng)];
-    std::uint64_t off =
-        std::uint64_t(kChunk) * rng.below(std::uint32_t(kFileBytes / kChunk));
-    auto r = co_await cl->read(std::uint32_t(fh), off, kChunk);
-    if (r.status == Status::Ok) {
-      for (std::byte b : r.data.to_bytes()) {
-        *stream_hash = (*stream_hash ^ std::uint64_t(b)) * 0x100000001b3ull;
-      }
-      ++*ops;
-    }
-  }
-  --stop->live_workers;
-}
-
 struct RunResult {
   std::uint64_t ops = 0;
-  std::uint64_t digest = 0;  ///< FNV over the per-client stream hashes
+  std::uint64_t digest = 0;  ///< workload::fold_digests of the clients
   sim::Time end_time = 0;
   std::uint64_t rounds = 0;
   double wall_ms = 0;
@@ -92,22 +69,19 @@ RunResult run_world(const Sizes& sz, unsigned cores) {
   topo::World world(
       topo::presets::cluster_racks(sz.racks, sz.clients_per_rack), cfg);
 
-  std::vector<std::uint64_t> files;
-  for (int i = 0; i < kFileCount; ++i) {
-    files.push_back(world.image().add_file("z" + std::to_string(i),
-                                           kFileBytes));
-  }
+  auto files = std::make_shared<workload::FileSet>();
+  files->add(world.image(), "z", kFileCount, kFileBytes);
   world.start_nfs();
 
   const int n = world.client_count();
-  ZipfSampler zipf(kFileCount, 0.98);
-  std::vector<std::uint64_t> hashes(std::size_t(n), 0xcbf29ce484222325ull);
-  std::vector<std::uint64_t> ops(std::size_t(n), 0);
+  auto zipf = std::make_shared<const ZipfSampler>(kFileCount, 0.98);
+  std::vector<workload::Stream> streams(static_cast<std::size_t>(n));
   StopFlag stop;
   for (int c = 0; c < n; ++c) {
     unsigned d = world.domain_of("client" + std::to_string(c));
-    zipf_worker(&world.nfs_client(c), c, &files, &zipf, &stop,
-                &hashes[std::size_t(c)], &ops[std::size_t(c)])
+    Pcg32 rng(/*seed=*/2026, 0x5ca1e000u + std::uint64_t(c));
+    workload::random_reader(world.nfs_client(c), files, zipf, rng, kChunk,
+                            &stop, &streams[std::size_t(c)])
         .detach(world.engine().domain_loop(d).reaper());
   }
 
@@ -117,13 +91,8 @@ RunResult run_world(const Sizes& sz, unsigned cores) {
 
   RunResult r;
   r.wall_ms = std::chrono::duration<double, std::milli>(wall1 - wall0).count();
-  for (std::uint64_t o : ops) r.ops += o;
-  r.digest = 0xcbf29ce484222325ull;
-  for (std::uint64_t h : hashes) {
-    for (int i = 0; i < 8; ++i) {
-      r.digest = (r.digest ^ ((h >> (8 * i)) & 0xff)) * 0x100000001b3ull;
-    }
-  }
+  for (const workload::Stream& s : streams) r.ops += s.ops;
+  r.digest = workload::fold_digests(streams);
   r.end_time = world.engine().now();
   r.rounds = world.engine().rounds();
   for (int s = 0; s < world.server_count(); ++s) {

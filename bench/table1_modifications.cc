@@ -97,7 +97,9 @@ int main(int argc, char** argv) {
     std::uint32_t ino = tb.image().add_file("hot.bin", kHot);
     tb.start_nfs();
     ncache::sim::sync_wait(tb.loop(),
-                           warm_sequential(tb, ino, kHot, 32768, 1));
+                           ncache::workload::read_file(tb.nfs_client(0), ino,
+                                                       0, kHot, 32768,
+                                                       nullptr));
     NfsRunConfig rc;
     rc.request_size = 32768;
     rc.streams_per_client = 4;

@@ -13,6 +13,23 @@
 
 using namespace ncache;
 
+namespace {
+
+/// Prints one replay's totals; false if an op failed or a read came back
+/// with the wrong bytes.
+bool report(const char* name, const workload::Stream& s, sim::Duration took) {
+  using workload::OpClass;
+  std::printf("%s: %llu ops, %llu bytes, %llu bad reads, read %s, meta %s, "
+              "took %.1f ms\n",
+              name, (unsigned long long)s.ops, (unsigned long long)s.bytes,
+              (unsigned long long)s.verify_failures,
+              s.latency(OpClass::Read).summary().c_str(),
+              s.latency(OpClass::Meta).summary().c_str(), double(took) / 1e6);
+  return s.errors == 0 && s.verify_failures == 0;
+}
+
+}  // namespace
+
 int main() {
   ncache::log::set_level(ncache::log::Level::Error);
 
@@ -37,32 +54,25 @@ int main() {
 
   // Round-trip through the text format, as if loaded from a trace file.
   auto loaded = workload::TracePlayer::parse(text);
+  bool ok = true;
 
   {
     workload::TracePlayer player(tb.loop(), tb.nfs_client(0), loaded);
-    workload::Counters counters;
-    auto t = [&]() -> Task<void> { co_await player.play_closed(&counters); };
+    workload::Stream stream;
+    auto t = [&]() -> Task<void> { co_await player.play_closed(&stream); };
     sim::Time t0 = tb.loop().now();
     sim::sync_wait(tb.loop(), t());
-    std::printf("closed-loop: %llu ops, %llu bytes, %s, wall %.1f ms\n",
-                (unsigned long long)counters.ops,
-                (unsigned long long)counters.bytes,
-                counters.latency.summary().c_str(),
-                double(tb.loop().now() - t0) / 1e6);
+    ok = report("closed-loop", stream, tb.loop().now() - t0) && ok;
   }
   {
     workload::TracePlayer player(tb.loop(), tb.nfs_client(1), loaded);
-    workload::Counters counters;
+    workload::Stream stream;
     auto t = [&]() -> Task<void> {
-      co_await player.play_open(&counters, /*speedup=*/4.0);
+      co_await player.play_open(&stream, /*speedup=*/4.0);
     };
     sim::Time t0 = tb.loop().now();
     sim::sync_wait(tb.loop(), t());
-    std::printf("open-loop x4: %llu ops, %llu bytes, %s, wall %.1f ms\n",
-                (unsigned long long)counters.ops,
-                (unsigned long long)counters.bytes,
-                counters.latency.summary().c_str(),
-                double(tb.loop().now() - t0) / 1e6);
+    ok = report("open-loop x4", stream, tb.loop().now() - t0) && ok;
   }
-  return 0;
+  return ok ? 0 : 1;
 }

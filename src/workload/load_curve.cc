@@ -29,37 +29,32 @@ namespace {
 
 // Free coroutine, everything by value/pointer: detached frames must not
 // reference a caller's locals.
-Task<void> one_read(nfs::NfsClient* client, std::uint64_t fh,
+Task<void> one_read(nfs::NfsClient* client, std::uint32_t ino,
                     std::uint64_t offset, std::uint32_t count,
-                    sim::Time launched, StopFlag* stop, Counters* counters) {
+                    sim::Time launched, StopFlag* stop, Stream* stream) {
   ++stop->live_workers;
-  auto r = co_await client->read(fh, offset, count);
-  counters->record(r.data.size(), client->loop().now() - launched,
-                   r.status == nfs::Status::Ok);
+  auto r = co_await client->read(ino, offset, count);
+  stream->read(ino, offset, r.data, client->loop().now() - launched,
+               r.status == nfs::Status::Ok);
   --stop->live_workers;
 }
 
 }  // namespace
 
-Task<void> open_loop_nfs_reads(
-    nfs::NfsClient& client, std::shared_ptr<const LoadCurve> curve,
-    std::shared_ptr<const std::vector<std::pair<std::uint64_t, std::uint64_t>>>
-        files,
-    std::uint32_t request_size, std::uint32_t seed, StopFlag* stop,
-    Counters* counters) {
+Task<void> open_loop_nfs_reads(nfs::NfsClient& client,
+                               std::shared_ptr<const LoadCurve> curve,
+                               std::shared_ptr<const FileSet> files,
+                               std::uint32_t request_size, std::uint32_t seed,
+                               StopFlag* stop, Stream* stream) {
   ++stop->live_workers;
   Pcg32 rng(seed * 40503u + 9973u);
   sim::EventLoop& loop = client.loop();
   while (!stop->stopped) {
     co_await sleep_for(loop, curve->interarrival_at(loop.now(), rng));
     if (stop->stopped) break;
-    const auto& [fh, size] = (*files)[rng.below(std::uint32_t(files->size()))];
-    std::uint64_t chunks = std::max<std::uint64_t>(1, size / request_size);
-    std::uint64_t offset = std::uint64_t(rng.below(std::uint32_t(chunks))) *
-                           request_size;
-    std::uint32_t want = std::uint32_t(
-        std::min<std::uint64_t>(request_size, size - offset));
-    one_read(&client, fh, offset, want, loop.now(), stop, counters)
+    FileSet::Draw d = files->draw(nullptr, rng, request_size);
+    one_read(&client, d.file->ino, d.offset, d.length, loop.now(), stop,
+             stream)
         .detach(loop.reaper());
   }
   --stop->live_workers;

@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "nfs/client.h"
 #include "workload/counters.h"
+#include "workload/file_set.h"
 
 namespace ncache::workload {
 
@@ -53,14 +54,14 @@ class LoadCurve {
 };
 
 /// Open-loop NFS read arrivals: sleeps out curve interarrivals and fires
-/// one detached READ per arrival against a random (fh, size) from `files`,
-/// recording completion latency into `counters`. In-flight reads count in
-/// `stop->live_workers`, so run_measurement's drain waits for the tail.
-Task<void> open_loop_nfs_reads(
-    nfs::NfsClient& client, std::shared_ptr<const LoadCurve> curve,
-    std::shared_ptr<const std::vector<std::pair<std::uint64_t, std::uint64_t>>>
-        files,
-    std::uint32_t request_size, std::uint32_t seed, StopFlag* stop,
-    Counters* counters);
+/// one detached READ per arrival at a uniform FileSet::draw of `files`,
+/// reporting each completion, timed from its launch, to `stream`. In-flight
+/// reads count in `stop->live_workers`, so run_measurement's drain waits
+/// for the tail.
+Task<void> open_loop_nfs_reads(nfs::NfsClient& client,
+                               std::shared_ptr<const LoadCurve> curve,
+                               std::shared_ptr<const FileSet> files,
+                               std::uint32_t request_size, std::uint32_t seed,
+                               StopFlag* stop, Stream* stream);
 
 }  // namespace ncache::workload

@@ -1,116 +1,108 @@
 #include "workload/nfs_workloads.h"
 
+#include "fs/image_builder.h"
+
 namespace ncache::workload {
 
 using nfs::Status;
 
-Task<void> sequential_read_worker(nfs::NfsClient& client, std::uint64_t fh,
-                                  std::uint64_t file_size,
-                                  std::uint32_t request_size,
-                                  std::uint64_t start_offset, StopFlag* stop,
-                                  Counters* counters) {
-  ++stop->live_workers;
-  std::uint64_t offset = start_offset % file_size;
-  while (!stop->stopped) {
-    std::uint32_t want = std::uint32_t(
-        std::min<std::uint64_t>(request_size, file_size - offset));
-    auto r = co_await client.read(fh, offset, want);
-    counters->record(r.data.size(), 0, r.status == Status::Ok);
-    offset += want;
-    if (offset >= file_size) offset = 0;
-  }
-  --stop->live_workers;
-}
-
-Task<void> windowed_sequential_worker(nfs::NfsClient& client,
-                                      std::uint64_t fh,
-                                      std::uint64_t file_size,
-                                      std::uint32_t request_size,
-                                      std::shared_ptr<std::uint64_t> cursor,
-                                      StopFlag* stop, Counters* counters) {
+Task<void> sequential_reader(nfs::NfsClient& client, std::uint32_t ino,
+                             std::uint64_t size, std::uint32_t chunk,
+                             std::shared_ptr<std::uint64_t> cursor,
+                             StopFlag* stop, Stream* stream) {
   ++stop->live_workers;
   while (!stop->stopped) {
     std::uint64_t offset = *cursor;
-    *cursor += request_size;
-    if (*cursor >= file_size) *cursor = 0;
-    std::uint32_t want = std::uint32_t(
-        std::min<std::uint64_t>(request_size, file_size - offset));
-    auto r = co_await client.read(fh, offset, want);
-    counters->record(r.data.size(), 0, r.status == nfs::Status::Ok);
+    *cursor += chunk;
+    if (*cursor >= size) *cursor = 0;
+    auto want = std::uint32_t(std::min<std::uint64_t>(chunk, size - offset));
+    sim::Time t0 = client.loop().now();
+    auto r = co_await client.read(ino, offset, want);
+    stream->read(ino, offset, r.data, client.loop().now() - t0,
+                 r.status == Status::Ok);
   }
   --stop->live_workers;
 }
 
-Task<void> hot_read_worker(nfs::NfsClient& client, std::uint64_t fh,
-                           std::uint64_t file_size, std::uint32_t request_size,
-                           std::uint32_t seed, StopFlag* stop,
-                           Counters* counters) {
+Task<void> random_reader(nfs::NfsClient& client,
+                         std::shared_ptr<const FileSet> files,
+                         std::shared_ptr<const ZipfSampler> zipf, Pcg32 rng,
+                         std::uint32_t chunk, StopFlag* stop, Stream* stream) {
   ++stop->live_workers;
-  Pcg32 rng(seed);
-  std::uint64_t chunks = std::max<std::uint64_t>(1, file_size / request_size);
   while (!stop->stopped) {
-    std::uint64_t chunk = rng.below(std::uint32_t(chunks));
-    std::uint64_t offset = chunk * request_size;
-    std::uint32_t want = std::uint32_t(
-        std::min<std::uint64_t>(request_size, file_size - offset));
-    auto r = co_await client.read(fh, offset, want);
-    counters->record(r.data.size(), 0, r.status == Status::Ok);
+    FileSet::Draw d = files->draw(zipf.get(), rng, chunk);
+    sim::Time t0 = client.loop().now();
+    auto r = co_await client.read(d.file->ino, d.offset, d.length);
+    stream->read(d.file->ino, d.offset, r.data, client.loop().now() - t0,
+                 r.status == Status::Ok);
   }
   --stop->live_workers;
+}
+
+Task<void> read_file(nfs::NfsClient& client, std::uint32_t ino,
+                     std::uint64_t begin, std::uint64_t end,
+                     std::uint32_t chunk, Stream* stream) {
+  for (std::uint64_t off = begin; off < end; off += chunk) {
+    auto want = std::uint32_t(std::min<std::uint64_t>(chunk, end - off));
+    sim::Time t0 = client.loop().now();
+    auto r = co_await client.read(ino, off, want);
+    if (stream) {
+      stream->read(ino, off, r.data, client.loop().now() - t0,
+                   r.status == Status::Ok);
+    }
+  }
 }
 
 Task<void> specsfs_worker(nfs::NfsClient& client,
-                          std::shared_ptr<const std::vector<
-                              std::pair<std::uint64_t, std::uint64_t>>> files,
+                          std::shared_ptr<const FileSet> files,
                           SpecSfsConfig config, std::uint32_t worker_id,
-                          StopFlag* stop, Counters* counters) {
+                          StopFlag* stop, Stream* stream) {
   ++stop->live_workers;
   Pcg32 rng(config.seed * 7919 + worker_id);
   std::vector<std::byte> write_buf(32768);
+  const auto n = std::uint32_t(files->entries.size());
 
   while (!stop->stopped) {
-    const auto& [fh, size] = (*files)[rng.below(std::uint32_t(files->size()))];
+    const FileSet::Entry& f = files->entries[rng.below(n)];
     bool data_op = rng.uniform() < config.data_op_fraction;
+    sim::Time t0 = client.loop().now();
     if (!data_op) {
       // Metadata mix: GETATTR-heavy, some LOOKUPs on the root directory.
       if (rng.uniform() < 0.7) {
-        auto attr = co_await client.getattr(fh);
-        counters->record(0, 0, attr.has_value());
+        auto attr = co_await client.getattr(f.ino);
+        stream->meta(f.ino, client.loop().now() - t0, attr.has_value());
       } else {
         auto found = co_await client.lookup(
-            fs::kRootIno, "sfs" + std::to_string(rng.below(
-                              std::uint32_t(files->size()))));
-        counters->record(0, 0, found.has_value());
+            fs::kRootIno, files->entries[rng.below(n)].name);
+        stream->meta(found.value_or(0), client.loop().now() - t0,
+                     found.has_value());
       }
       continue;
     }
 
     std::uint32_t req =
         config.size_table[rng.below(std::uint32_t(config.size_table.size()))];
-    std::uint64_t max_chunk = size > req ? size / req : 1;
+    std::uint64_t max_chunk = f.size > req ? f.size / req : 1;
     std::uint64_t offset = std::uint64_t(rng.below(std::uint32_t(max_chunk))) *
                            req;
-    if (offset >= size) offset = 0;
+    if (offset >= f.size) offset = 0;
     std::uint32_t len =
-        std::uint32_t(std::min<std::uint64_t>(req, size - offset));
+        std::uint32_t(std::min<std::uint64_t>(req, f.size - offset));
 
     if (rng.uniform() < config.read_fraction) {
-      sim::Time t0 = client.loop().now();
-      auto r = co_await client.read(fh, offset, len);
-      counters->record(r.data.size(), client.loop().now() - t0,
-                       r.status == Status::Ok);
+      auto r = co_await client.read(f.ino, offset, len);
+      stream->read(f.ino, offset, r.data, client.loop().now() - t0,
+                   r.status == Status::Ok);
     } else {
-      // Block-aligned write of fresh bytes (keeps NCache's aligned path
-      // hot, like SPECsfs's full-block writes).
+      // Block-aligned write of the file's own pattern (keeps NCache's
+      // aligned path hot, like SPECsfs's full-block writes).
       std::uint32_t wlen = len < 4096 ? 4096 : len & ~4095u;
       std::uint64_t woff = offset & ~4095ull;
-      for (std::size_t i = 0; i < wlen; ++i) {
-        write_buf[i] = std::byte((i + worker_id) & 0xff);
-      }
-      sim::Time t0 = client.loop().now();
-      Status s = co_await client.write(
-          fh, woff, std::span<const std::byte>(write_buf.data(), wlen));
-      counters->record(wlen, client.loop().now() - t0, s == Status::Ok);
+      std::span<std::byte> data(write_buf.data(), wlen);
+      fs::fill_content(f.ino, woff, data);
+      Status s = co_await client.write(f.ino, woff, data);
+      stream->write(f.ino, woff, wlen, client.loop().now() - t0,
+                    s == Status::Ok);
     }
   }
   --stop->live_workers;

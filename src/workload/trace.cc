@@ -4,63 +4,66 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "fs/image_builder.h"
+
 namespace ncache::workload {
 
 using nfs::Status;
 
-Task<void> TracePlayer::issue(const TraceOp& op, Counters* counters) {
+Task<void> TracePlayer::issue(const TraceOp& op, Stream* stream) {
   sim::Time start = loop_.now();
+  auto ino = std::uint32_t(op.fh);
   switch (op.type) {
     case TraceOpType::Read: {
       auto r = co_await client_.read(op.fh, op.offset, op.len);
-      counters->record(r.data.size(), loop_.now() - start,
-                       r.status == Status::Ok);
+      stream->read(ino, op.offset, r.data, loop_.now() - start,
+                   r.status == Status::Ok);
       break;
     }
     case TraceOpType::Write: {
       std::vector<std::byte> buf(op.len);
-      for (std::size_t i = 0; i < buf.size(); ++i) {
-        buf[i] = std::byte((op.offset + i) & 0xff);
-      }
+      fs::fill_content(ino, op.offset, buf);
       Status s = co_await client_.write(op.fh, op.offset, buf);
-      counters->record(op.len, loop_.now() - start, s == Status::Ok);
+      stream->write(ino, op.offset, op.len, loop_.now() - start,
+                    s == Status::Ok);
       break;
     }
     case TraceOpType::Getattr: {
       auto attr = co_await client_.getattr(op.fh);
-      counters->record(0, loop_.now() - start, attr.has_value());
+      stream->meta(op.fh, loop_.now() - start, attr.has_value());
       break;
     }
     case TraceOpType::Lookup: {
       auto found = co_await client_.lookup(fs::kRootIno, op.name);
-      counters->record(0, loop_.now() - start, found.has_value());
+      stream->meta(found.value_or(0), loop_.now() - start,
+                   found.has_value());
       break;
     }
   }
 }
 
-Task<void> TracePlayer::play_closed(Counters* counters) {
+Task<void> TracePlayer::play_closed(Stream* stream) {
   sim::Time base = loop_.now();
   for (const auto& op : ops_) {
     sim::Time due = base + op.at;
     if (loop_.now() < due) {
       co_await sim::sleep_for(loop_, due - loop_.now());
     }
-    co_await issue(op, counters);
+    co_await issue(op, stream);
   }
 }
 
 namespace {
 Task<void> issue_tracked(TracePlayer* player, const TraceOp* op,
-                         Counters* counters, int* outstanding,
+                         Stream* stream, int* outstanding,
                          Task<void> (TracePlayer::*fn)(const TraceOp&,
-                                                       Counters*)) {
-  co_await (player->*fn)(*op, counters);
+                                                       Stream*)) {
+  co_await (player->*fn)(*op, stream);
   --*outstanding;
 }
 }  // namespace
 
-Task<void> TracePlayer::play_open(Counters* counters, double speedup) {
+Task<void> TracePlayer::play_open(Stream* stream, double speedup) {
   if (speedup <= 0) throw std::invalid_argument("play_open: bad speedup");
   int outstanding = 0;
   for (const auto& op : ops_) {
@@ -68,10 +71,10 @@ Task<void> TracePlayer::play_open(Counters* counters, double speedup) {
     ++outstanding;
     const TraceOp* op_ptr = &op;
     TracePlayer* self = this;
-    Counters* c = counters;
+    Stream* s = stream;
     int* out = &outstanding;
-    loop_.schedule_in(due, [self, op_ptr, c, out] {
-      issue_tracked(self, op_ptr, c, out, &TracePlayer::issue)
+    loop_.schedule_in(due, [self, op_ptr, s, out] {
+      issue_tracked(self, op_ptr, s, out, &TracePlayer::issue)
           .detach(self->loop_.reaper());
     });
   }

@@ -41,12 +41,12 @@ class TracePlayer {
       : loop_(loop), client_(client), ops_(std::move(ops)) {}
 
   /// Replays honouring inter-op gaps; each op completes before the next
-  /// is issued.
-  Task<void> play_closed(Counters* counters);
+  /// is issued. WRITEs store the file's own content pattern.
+  Task<void> play_closed(Stream* stream);
 
   /// Issues each op at its timestamp (divided by `speedup`), not waiting
   /// for completions. Returns once every op has completed.
-  Task<void> play_open(Counters* counters, double speedup = 1.0);
+  Task<void> play_open(Stream* stream, double speedup = 1.0);
 
   std::size_t size() const noexcept { return ops_.size(); }
 
@@ -63,7 +63,7 @@ class TracePlayer {
                                                     sim::Duration gap);
 
  private:
-  Task<void> issue(const TraceOp& op, Counters* counters);
+  Task<void> issue(const TraceOp& op, Stream* stream);
 
   sim::EventLoop& loop_;
   nfs::NfsClient& client_;

@@ -2,10 +2,9 @@
 
 namespace ncache::workload {
 
-WebFileSet build_web_fileset(fs::FsImageBuilder& image,
-                             std::uint64_t working_set_bytes,
-                             std::uint64_t mean_page_bytes,
-                             std::uint32_t seed) {
+FileSet build_web_fileset(fs::FsImageBuilder& image,
+                          std::uint64_t working_set_bytes,
+                          std::uint64_t mean_page_bytes, std::uint32_t seed) {
   // SPECweb99-like size classes (weight, size-as-fraction-of-mean): many
   // small pages, a tail of large ones; calibrated so the weighted mean is
   // ~1.0x `mean_page_bytes`.
@@ -20,7 +19,7 @@ WebFileSet build_web_fileset(fs::FsImageBuilder& image,
       {0.01, 13.0},  // downloads
   };
 
-  WebFileSet out;
+  FileSet out;
   Pcg32 rng(seed);
   std::uint64_t accumulated = 0;
   std::uint32_t index = 0;
@@ -41,37 +40,42 @@ WebFileSet build_web_fileset(fs::FsImageBuilder& image,
     size = std::min(size, working_set_bytes);  // no monster outliers
 
     std::string name = "p" + std::to_string(index++);
-    if (image.add_file(name, size) == 0) break;  // volume full
-    out.paths.push_back("/" + name);
-    out.sizes.push_back(size);
+    std::uint32_t ino = image.add_file(name, size);
+    if (ino == 0) break;  // volume full
+    out.entries.push_back({ino, size, std::move(name)});
     accumulated += size;
   }
-  out.total_bytes = accumulated;
   return out;
 }
 
-Task<void> web_get_worker(http::HttpClient& client,
-                          std::shared_ptr<const WebFileSet> files,
+
+Task<void> web_get_worker(http::HttpClient& client, sim::EventLoop& loop,
+                          std::shared_ptr<const FileSet> files,
                           std::shared_ptr<const ZipfSampler> zipf,
-                          std::uint32_t seed, StopFlag* stop,
-                          Counters* counters) {
+                          std::uint32_t seed, StopFlag* stop, Stream* stream) {
   ++stop->live_workers;
   Pcg32 rng(seed);
+  std::string path;  // reused: a request allocates no name
   while (!stop->stopped) {
-    std::size_t rank = zipf->sample(rng);
-    const std::string& path = files->paths[rank];
+    const FileSet::Entry& page = files->entries[zipf->sample(rng)];
+    path.assign(1, '/');
+    path += page.name;
+    sim::Time t0 = loop.now();
     auto r = co_await client.get(path);
-    counters->record(r.content_length, 0, r.status == 200);
+    stream->read(page.ino, 0, r.body, loop.now() - t0, r.status == 200);
   }
   --stop->live_workers;
 }
 
-Task<void> web_hot_worker(http::HttpClient& client, std::string path,
-                          StopFlag* stop, Counters* counters) {
+Task<void> web_hot_worker(http::HttpClient& client, sim::EventLoop& loop,
+                          FileSet::Entry page, StopFlag* stop,
+                          Stream* stream) {
   ++stop->live_workers;
+  const std::string path = "/" + page.name;
   while (!stop->stopped) {
+    sim::Time t0 = loop.now();
     auto r = co_await client.get(path);
-    counters->record(r.content_length, 0, r.status == 200);
+    stream->read(page.ino, 0, r.body, loop.now() - t0, r.status == 200);
   }
   --stop->live_workers;
 }

@@ -13,33 +13,29 @@
 #include "fs/image_builder.h"
 #include "http/client.h"
 #include "workload/counters.h"
+#include "workload/file_set.h"
 
 namespace ncache::workload {
-
-struct WebFileSet {
-  std::vector<std::string> paths;  ///< "/pN" page names, rank order
-  std::vector<std::uint64_t> sizes;
-  std::uint64_t total_bytes = 0;
-};
 
 /// Builds the page set into the fs image: `working_set_bytes` of pages
 /// whose sizes follow a SPECweb99-like class mix with the given mean.
 /// Pages are named "p0".."pN-1" in popularity-rank order.
-WebFileSet build_web_fileset(fs::FsImageBuilder& image,
-                             std::uint64_t working_set_bytes,
-                             std::uint64_t mean_page_bytes = 75 * 1024,
-                             std::uint32_t seed = 42);
+FileSet build_web_fileset(fs::FsImageBuilder& image,
+                          std::uint64_t working_set_bytes,
+                          std::uint64_t mean_page_bytes = 75 * 1024,
+                          std::uint32_t seed = 42);
 
-/// One HTTP worker: Zipf-samples pages and GETs them until stopped.
-Task<void> web_get_worker(http::HttpClient& client,
-                          std::shared_ptr<const WebFileSet> files,
+/// One HTTP worker: Zipf-samples pages and GETs "/" + name until stopped,
+/// timing each GET on `loop` (the client's).
+Task<void> web_get_worker(http::HttpClient& client, sim::EventLoop& loop,
+                          std::shared_ptr<const FileSet> files,
                           std::shared_ptr<const ZipfSampler> zipf,
-                          std::uint32_t seed, StopFlag* stop,
-                          Counters* counters);
+                          std::uint32_t seed, StopFlag* stop, Stream* stream);
 
-/// Repeatedly fetches one small hot set (the §5.5 all-hit microbenchmark)
-/// with a fixed request (= page) size.
-Task<void> web_hot_worker(http::HttpClient& client, std::string path,
-                          StopFlag* stop, Counters* counters);
+/// Repeatedly fetches one page of a small hot set (the §5.5 all-hit
+/// microbenchmark) with a fixed request (= page) size.
+Task<void> web_hot_worker(http::HttpClient& client, sim::EventLoop& loop,
+                          FileSet::Entry page, StopFlag* stop,
+                          Stream* stream);
 
 }  // namespace ncache::workload

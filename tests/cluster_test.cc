@@ -18,12 +18,10 @@
 #include <vector>
 
 #include "cluster/cluster_testbed.h"
-#include "common/rng.h"
-#include "common/zipf.h"
 #include "fault/fault_injector.h"
-#include "fs/image_builder.h"
 #include "testbed/testbed.h"
-#include "workload/counters.h"
+#include "workload/nfs_workloads.h"
+#include "test_util.h"
 
 namespace ncache {
 namespace {
@@ -33,27 +31,6 @@ using cluster::ClusterTestbed;
 using cluster::HashRing;
 using core::PassMode;
 using fault::FaultInjector;
-using nfs::Status;
-
-template <typename F>
-void run_on(sim::EventLoop& loop, F&& body) {
-  auto t_fn = [&]() -> Task<void> { co_await body(); };
-  sim::sync_wait(loop, t_fn());
-}
-
-/// Reads [0, size) in 32 KB chunks, verifying every byte against the
-/// deterministic generator and appending the stream to `out` if given.
-Task<void> read_all(nfs::NfsClient& client, std::uint32_t ino,
-                    std::size_t size, std::vector<std::byte>* out) {
-  for (std::uint64_t off = 0; off < size; off += 32768) {
-    auto r = co_await client.read(ino, off, 32768);
-    EXPECT_EQ(r.status, Status::Ok) << "offset " << off;
-    auto bytes = r.data.to_bytes();
-    EXPECT_EQ(fs::verify_content(ino, off, bytes), std::size_t(-1))
-        << "offset " << off;
-    if (out) out->insert(out->end(), bytes.begin(), bytes.end());
-  }
-}
 
 // ---------------------------------------------------------------------------
 // HashRing
@@ -120,10 +97,9 @@ TEST_P(SingleReplicaModes, MatchesTestbedByteForByte) {
   testbed::Testbed tb(scfg);
   std::uint32_t ino = tb.image().add_file("f.bin", kSize);
   tb.start_nfs();
-  std::vector<std::byte> reference;
-  run_on(tb.loop(), [&]() -> Task<void> {
-    co_await read_all(tb.nfs_client(0), ino, kSize, &reference);
-  });
+  workload::Stream reference;
+  sim::sync_wait(tb.loop(), workload::read_file(tb.nfs_client(0), ino, 0,
+                                                kSize, 32768, &reference));
 
   // Same image behind a 1-replica cluster: the balancer NAT and the peer
   // agent (which has nobody to talk to) must be fully transparent.
@@ -135,13 +111,15 @@ TEST_P(SingleReplicaModes, MatchesTestbedByteForByte) {
   std::uint32_t cino = cc.image().add_file("f.bin", kSize);
   ASSERT_EQ(cino, ino);
   cc.start_nfs();
-  std::vector<std::byte> clustered;
-  run_on(cc.loop(), [&]() -> Task<void> {
-    co_await read_all(cc.nfs_client(0), cino, kSize, &clustered);
-  });
+  workload::Stream clustered;
+  sim::sync_wait(cc.loop(), workload::read_file(cc.nfs_client(0), cino, 0,
+                                                kSize, 32768, &clustered));
 
-  EXPECT_EQ(reference.size(), kSize);
-  EXPECT_TRUE(reference == clustered)
+  EXPECT_EQ(reference.bytes, kSize);
+  expect_clean(reference);
+  expect_clean(clustered);
+  EXPECT_EQ(reference.ops, clustered.ops);
+  EXPECT_EQ(reference.digest, clustered.digest)
       << "client-visible stream differs through the balancer";
   EXPECT_GT(cc.lb().stats().forwards, 0u);
   EXPECT_EQ(cc.lb().stats().drops_no_member, 0u);
@@ -161,48 +139,20 @@ INSTANTIATE_TEST_SUITE_P(Modes, SingleReplicaModes,
 // Same-seed determinism
 // ---------------------------------------------------------------------------
 
-struct ZipfFiles {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> files;  ///< fh, size
-  ZipfSampler zipf;
-};
-
-ZipfFiles make_zipf_files(ClusterTestbed& tb, int count, std::size_t bytes,
-                          double alpha) {
-  ZipfFiles out{{}, ZipfSampler(std::size_t(count), alpha)};
-  for (int i = 0; i < count; ++i) {
-    std::uint32_t ino = tb.image().add_file("z" + std::to_string(i), bytes);
-    out.files.emplace_back(ino, bytes);
-  }
-  return out;
-}
-
-/// Closed-loop Zipf reader against the cluster VIP; folds every payload
-/// byte into an order-sensitive FNV stream hash.
-Task<void> zipf_worker(ClusterTestbed* tb, int client, const ZipfFiles* fs,
-                       std::uint64_t seed, workload::StopFlag* stop,
-                       std::uint64_t* stream_hash, std::uint64_t* ops) {
-  ++stop->live_workers;
-  Pcg32 rng(seed, 0x9000u + std::uint64_t(client));
-  auto& cl = tb->nfs_client(client);
-  while (!stop->stopped) {
-    auto [fh, size] = fs->files[fs->zipf.sample(rng)];
-    auto chunks = std::uint32_t(size / 32768);
-    std::uint64_t off = 32768ull * rng.below(chunks ? chunks : 1);
-    auto r = co_await cl.read(fh, off, 32768);
-    if (r.status == Status::Ok) {
-      for (std::byte b : r.data.to_bytes()) {
-        *stream_hash = (*stream_hash ^ std::uint64_t(b)) * 0x100000001b3ull;
-      }
-      ++*ops;
-    }
-  }
-  --stop->live_workers;
+/// Closed-loop Zipf-popular 32 KB readers against the cluster VIP over
+/// `count` files "z<i>", one stream per client.
+std::vector<workload::Stream> run_zipf_cluster_readers(
+    ClusterTestbed& tb, int count, double alpha, std::uint64_t seed,
+    sim::Duration window) {
+  auto files = std::make_shared<workload::FileSet>();
+  files->add(tb.image(), "z", count, 64 * 1024);
+  tb.start_nfs();
+  return run_zipf_readers(tb.world(), files, alpha, seed, 0x9000, window);
 }
 
 struct ClusterRun {
   std::string metrics_json;
-  std::vector<std::uint64_t> stream_hashes;
-  std::uint64_t total_ops = 0;
+  std::vector<workload::Stream> streams;
 };
 
 ClusterRun run_zipf_cluster(std::uint64_t seed) {
@@ -211,22 +161,9 @@ ClusterRun run_zipf_cluster(std::uint64_t seed) {
   cfg.server_count = 2;
   cfg.client_count = 2;
   ClusterTestbed tb(cfg);
-  ZipfFiles fs = make_zipf_files(tb, 32, 64 * 1024, 0.98);
-  tb.start_nfs();
-
-  workload::StopFlag stop;
   ClusterRun run;
-  run.stream_hashes.assign(std::size_t(cfg.client_count),
-                           0xcbf29ce484222325ull);
-  std::vector<std::uint64_t> ops(std::size_t(cfg.client_count), 0);
-  for (int c = 0; c < cfg.client_count; ++c) {
-    zipf_worker(&tb, c, &fs, seed, &stop, &run.stream_hashes[std::size_t(c)],
-                &ops[std::size_t(c)])
-        .detach(tb.loop().reaper());
-  }
-  workload::run_measurement(tb.loop(), stop, 200 * sim::kMillisecond);
-
-  for (std::uint64_t o : ops) run.total_ops += o;
+  run.streams =
+      run_zipf_cluster_readers(tb, 32, 0.98, seed, 200 * sim::kMillisecond);
   run.metrics_json = tb.metrics().to_json().dump();
   return run;
 }
@@ -234,9 +171,8 @@ ClusterRun run_zipf_cluster(std::uint64_t seed) {
 TEST(ClusterDeterminism, SameSeedRunsAreBitIdentical) {
   ClusterRun a = run_zipf_cluster(1234);
   ClusterRun b = run_zipf_cluster(1234);
-  EXPECT_GT(a.total_ops, 0u);
-  EXPECT_EQ(a.total_ops, b.total_ops);
-  EXPECT_EQ(a.stream_hashes, b.stream_hashes);
+  EXPECT_GT(total_ops(a.streams), 0u);
+  expect_same_streams(a.streams, b.streams);
   EXPECT_EQ(a.metrics_json, b.metrics_json)
       << "metrics dumps diverged between same-seed runs";
 }
@@ -258,19 +194,8 @@ N4Run run_n4_zipf(bool peering) {
   cfg.client_count = 6;  // enough flows to land on several replicas
   cfg.peering = peering;
   ClusterTestbed tb(cfg);
-  ZipfFiles fs = make_zipf_files(tb, 64, 64 * 1024, 1.0);
-  tb.start_nfs();
-
-  workload::StopFlag stop;
-  std::vector<std::uint64_t> hashes(std::size_t(cfg.client_count),
-                                    0xcbf29ce484222325ull);
-  std::vector<std::uint64_t> ops(std::size_t(cfg.client_count), 0);
-  for (int c = 0; c < cfg.client_count; ++c) {
-    zipf_worker(&tb, c, &fs, /*seed=*/777, &stop, &hashes[std::size_t(c)],
-                &ops[std::size_t(c)])
-        .detach(tb.loop().reaper());
-  }
-  workload::run_measurement(tb.loop(), stop, 250 * sim::kMillisecond);
+  auto streams = run_zipf_cluster_readers(tb, 64, 1.0, /*seed=*/777,
+                                          250 * sim::kMillisecond);
 
   // The flow hash must have spread the clients over >1 replica or the
   // comparison is vacuous.
@@ -283,7 +208,7 @@ N4Run run_n4_zipf(bool peering) {
   N4Run run;
   run.target_reads = tb.total_target_reads();
   run.peer_hits = tb.total_peer_hits();
-  for (std::uint64_t o : ops) run.ops += o;
+  run.ops = total_ops(streams);
   return run;
 }
 
@@ -326,9 +251,11 @@ TEST(ClusterFault, ReplicaCrashRebalancesAndConverges) {
 
   FaultInjector inj(tb.loop(), /*seed=*/5);
 
+  workload::Stream faulted, after;
   run_on(tb.loop(), [&]() -> Task<void> {
     // First half of the file, fault-free.
-    co_await read_all(tb.nfs_client(0), ino, kSize / 2, nullptr);
+    co_await workload::read_file(tb.nfs_client(0), ino, 0, kSize / 2, 32768,
+                                 &faulted);
     // Power-fail the serving replica; script its return for later.
     tb.crash_replica(victim);
     EXPECT_TRUE(tb.replica_crashed(victim));
@@ -337,14 +264,8 @@ TEST(ClusterFault, ReplicaCrashRebalancesAndConverges) {
     // Second half: the first read stalls against the corpse, the balancer
     // marks it dead within miss_limit heartbeats (75 ms), and the client's
     // 200 ms-floor retransmission lands on the rebalanced ring.
-    auto& client = tb.nfs_client(0);
-    for (std::uint64_t off = kSize / 2; off < kSize; off += 32768) {
-      auto r = co_await client.read(ino, off, 32768);
-      EXPECT_EQ(r.status, Status::Ok) << "offset " << off;
-      EXPECT_EQ(fs::verify_content(ino, off, r.data.to_bytes()),
-                std::size_t(-1))
-          << "offset " << off;
-    }
+    co_await workload::read_file(tb.nfs_client(0), ino, kSize / 2, kSize,
+                                 32768, &faulted);
     EXPECT_EQ(tb.lb().live_count(), 3u);
     EXPECT_GE(tb.lb().stats().rebalances, 1u);
     EXPECT_NE(tb.lb().last_rebalance_at(), 0u);
@@ -360,8 +281,13 @@ TEST(ClusterFault, ReplicaCrashRebalancesAndConverges) {
     EXPECT_FALSE(tb.replica_crashed(victim));
     EXPECT_EQ(tb.lb().live_count(), 4u);
     // And the full stream is still the fault-free one.
-    co_await read_all(tb.nfs_client(0), ino, kSize, nullptr);
+    co_await workload::read_file(tb.nfs_client(0), ino, 0, kSize, 32768,
+                                 &after);
   });
+  expect_clean(faulted);
+  expect_clean(after);
+  EXPECT_EQ(faulted.ops, kSize / 32768);
+  EXPECT_EQ(faulted.digest, after.digest);
 
   EXPECT_EQ(inj.stats().events_fired, 1u);
   EXPECT_GT(tb.nfs_client(0).stats().retransmits, 0u);

@@ -11,6 +11,8 @@
 
 #include "fs/image_builder.h"
 #include "testbed/testbed.h"
+#include "workload/nfs_workloads.h"
+#include "test_util.h"
 
 namespace ncache {
 namespace {
@@ -20,12 +22,6 @@ using netbuf::MsgBuffer;
 using nfs::Status;
 using testbed::Testbed;
 using testbed::TestbedConfig;
-
-template <typename F>
-void run_on(Testbed& tb, F&& body) {
-  auto t_fn = [&]() -> Task<void> { co_await body(); };
-  sim::sync_wait(tb.loop(), t_fn());
-}
 
 // ---------------------------------------------------------------------------
 // Loss on every hop
@@ -70,16 +66,11 @@ TEST_P(LossyHops, NfsReadSurvivesPeriodicLoss) {
       break;
   }
 
-  run_on(tb, [&]() -> Task<void> {
-    auto& client = tb.nfs_client(0);
-    for (std::uint64_t off = 0; off < 512 * 1024; off += 32768) {
-      auto r = co_await client.read(ino, off, 32768);
-      EXPECT_EQ(r.status, Status::Ok) << "offset " << off;
-      EXPECT_EQ(fs::verify_content(ino, off, r.data.to_bytes()),
-                std::size_t(-1))
-          << "offset " << off;
-    }
-  });
+  workload::Stream s;
+  sim::sync_wait(tb.loop(), workload::read_file(tb.nfs_client(0), ino, 0,
+                                                512 * 1024, 32768, &s));
+  EXPECT_EQ(s.ops, 16u);
+  expect_clean(s);
   // UDP retransmissions must have happened when the drop was on the
   // client<->server leg; TCP recovery covers the iSCSI leg.
   if (GetParam() != 2) {
@@ -105,7 +96,7 @@ TEST(Failure, WritePathSurvivesLoss) {
   tb.storage_node().stack.nic(0).set_egress_filter(
       [&](proto::Frame&) { return ++counter % 17 != 0; });
 
-  run_on(tb, [&]() -> Task<void> {
+  run_on(tb.loop(), [&]() -> Task<void> {
     auto& client = tb.nfs_client(0);
     auto fh = co_await client.create(fs::kRootIno, "w.bin");
     EXPECT_TRUE(fh);
@@ -139,7 +130,7 @@ TEST(Failure, EvictedKeyBecomesJunkNotCrash) {
   tb.start_nfs();
 
   int junk = 0, ok = 0;
-  run_on(tb, [&]() -> Task<void> {
+  run_on(tb.loop(), [&]() -> Task<void> {
     auto& client = tb.nfs_client(0);
     for (std::uint64_t off = 0; off < (4u << 20); off += 32768) {
       auto r = co_await client.read(ino, off, 32768);
@@ -148,8 +139,7 @@ TEST(Failure, EvictedKeyBecomesJunkNotCrash) {
       if (r.junk) {
         ++junk;  // key evicted between reply construction and egress
       } else {
-        EXPECT_EQ(fs::verify_content(ino, off, r.data.to_bytes()),
-                  std::size_t(-1));
+        EXPECT_TRUE(workload::verify_payload(ino, off, r.data));
         ++ok;
       }
     }
@@ -171,7 +161,7 @@ TEST(Failure, VolumeFullPartialWrite) {
   Testbed tb(cfg);
   tb.start_nfs();
 
-  run_on(tb, [&]() -> Task<void> {
+  run_on(tb.loop(), [&]() -> Task<void> {
     auto& client = tb.nfs_client(0);
     auto fh = co_await client.create(fs::kRootIno, "big");
     EXPECT_TRUE(fh);
@@ -200,7 +190,7 @@ TEST(Failure, InodeExhaustion) {
   Testbed tb(cfg);
   tb.start_nfs();
 
-  run_on(tb, [&]() -> Task<void> {
+  run_on(tb.loop(), [&]() -> Task<void> {
     auto& client = tb.nfs_client(0);
     int created = 0;
     for (int i = 0; i < 60; ++i) {
@@ -280,12 +270,8 @@ TEST(Equivalence, DeterministicAcrossRuns) {
     Testbed tb(cfg);
     std::uint32_t ino = tb.image().add_file("data.bin", 1 << 20);
     tb.start_nfs();
-    auto t_fn = [&]() -> Task<void> {
-      for (std::uint64_t off = 0; off < (1u << 20); off += 32768) {
-        (void)co_await tb.nfs_client(0).read(ino, off, 32768);
-      }
-    };
-    sim::sync_wait(tb.loop(), t_fn());
+    sim::sync_wait(tb.loop(), workload::read_file(tb.nfs_client(0), ino, 0,
+                                                  1 << 20, 32768, nullptr));
     finish[i] = tb.loop().now();
   }
   EXPECT_EQ(finish[0], finish[1]);

@@ -18,6 +18,8 @@
 #include "fault/fault_injector.h"
 #include "fs/image_builder.h"
 #include "testbed/testbed.h"
+#include "workload/nfs_workloads.h"
+#include "test_util.h"
 
 namespace ncache {
 namespace {
@@ -31,22 +33,14 @@ using nfs::Status;
 using testbed::Testbed;
 using testbed::TestbedConfig;
 
-template <typename F>
-void run_on(Testbed& tb, F&& body) {
-  auto t_fn = [&]() -> Task<void> { co_await body(); };
-  sim::sync_wait(tb.loop(), t_fn());
-}
-
-/// Reads the whole file in 32 KB chunks and checks every byte against the
-/// deterministic generator — i.e. against what a fault-free run returns.
-Task<void> read_and_verify(Testbed& tb, std::uint32_t ino, std::size_t size) {
-  auto& client = tb.nfs_client(0);
-  for (std::uint64_t off = 0; off < size; off += 32768) {
-    auto r = co_await client.read(ino, off, 32768);
-    EXPECT_EQ(r.status, Status::Ok) << "offset " << off;
-    EXPECT_EQ(fs::verify_content(ino, off, r.data.to_bytes()), std::size_t(-1))
-        << "offset " << off;
-  }
+/// Reads the whole file through client 0 in 32 KB chunks: every read must
+/// come back OK with the bytes a fault-free run returns.
+void expect_whole_file(Testbed& tb, std::uint32_t ino, std::size_t size) {
+  workload::Stream s;
+  sim::sync_wait(tb.loop(), workload::read_file(tb.nfs_client(0), ino, 0,
+                                                size, 32768, &s));
+  expect_clean(s);
+  EXPECT_EQ(s.bytes, size);
 }
 
 // ---------------------------------------------------------------------------
@@ -81,7 +75,7 @@ TEST_P(BurstLossHops, ReadsConvergeByteIdentical) {
                          2 * sim::kSecond, ge);
   plan.apply(inj);
 
-  run_on(tb, [&]() -> Task<void> { co_await read_and_verify(tb, ino, kSize); });
+  expect_whole_file(tb, ino, kSize);
 
   EXPECT_GT(inj.stats().frames_dropped, 0u) << "fault window never bit";
   EXPECT_EQ(inj.stats().burst_windows, 2u);  // one GE stream per direction
@@ -121,7 +115,7 @@ TEST(Fault, ShortFlapRidesOnRetransmission) {
                    300 * sim::kMillisecond);
   plan.apply(inj);
 
-  run_on(tb, [&]() -> Task<void> { co_await read_and_verify(tb, ino, kSize); });
+  expect_whole_file(tb, ino, kSize);
 
   EXPECT_EQ(inj.stats().link_downs, 2u);  // both directions
   EXPECT_EQ(inj.stats().link_ups, 2u);
@@ -149,7 +143,7 @@ TEST(Fault, LongStorageFlapTriggersSessionRecovery) {
                    600 * sim::kMillisecond);
   plan.apply(inj);
 
-  run_on(tb, [&]() -> Task<void> { co_await read_and_verify(tb, ino, kSize); });
+  expect_whole_file(tb, ino, kSize);
 
   const auto& st = tb.initiator().stats();
   EXPECT_GE(st.command_timeouts, 1u);
@@ -174,9 +168,11 @@ TEST_P(CrashModes, CrashRestartConvergesByteIdentical) {
 
   FaultInjector inj(tb.loop(), 3);
 
-  run_on(tb, [&]() -> Task<void> {
+  workload::Stream stream;
+  run_on(tb.loop(), [&]() -> Task<void> {
+    auto& client = tb.nfs_client(0);
     // First half of the transfer, fault-free.
-    co_await read_and_verify(tb, ino, kSize / 2);
+    co_await workload::read_file(client, ino, 0, kSize / 2, 32768, &stream);
     // Power-fail the server mid-transfer; script the restart for later.
     tb.crash_server();
     EXPECT_TRUE(tb.server_crashed());
@@ -184,14 +180,8 @@ TEST_P(CrashModes, CrashRestartConvergesByteIdentical) {
            [&tb] { tb.restart_server(); });
     // The second half stalls against the dead server, retransmits, and
     // converges byte-identical once the restarted instance answers.
-    auto& client = tb.nfs_client(0);
-    for (std::uint64_t off = kSize / 2; off < kSize; off += 32768) {
-      auto r = co_await client.read(ino, off, 32768);
-      EXPECT_EQ(r.status, Status::Ok) << "offset " << off;
-      EXPECT_EQ(fs::verify_content(ino, off, r.data.to_bytes()),
-                std::size_t(-1))
-          << "offset " << off;
-    }
+    co_await workload::read_file(client, ino, kSize / 2, kSize, 32768,
+                                 &stream);
     // The server still accepts writes after its restart.
     auto fh = co_await client.create(fs::kRootIno, "post-crash");
     EXPECT_TRUE(fh);
@@ -202,6 +192,8 @@ TEST_P(CrashModes, CrashRestartConvergesByteIdentical) {
     auto r = co_await client.read(*fh, 0, 8192);
     EXPECT_EQ(r.data.to_bytes(), data);
   });
+  expect_clean(stream);
+  EXPECT_EQ(stream.bytes, kSize);
 
   EXPECT_EQ(inj.stats().events_fired, 1u);
   EXPECT_FALSE(tb.server_crashed());
@@ -235,7 +227,7 @@ TEST_P(DiskFaultModes, LatentSectorErrorHealsViaRetry) {
   tb.store().inject_read_fault(tb.fs().superblock().data_start, 64,
                                blockdev::DiskFaultKind::LatentSectorError);
 
-  run_on(tb, [&]() -> Task<void> { co_await read_and_verify(tb, ino, kSize); });
+  expect_whole_file(tb, ino, kSize);
 
   EXPECT_GE(tb.store().read_errors(), 1u);
   EXPECT_GE(tb.initiator().stats().io_retries, 1u);
@@ -253,7 +245,7 @@ TEST_P(DiskFaultModes, ChecksumMismatchCaughtAndHealed) {
   tb.store().inject_read_fault(tb.fs().superblock().data_start, 64,
                                blockdev::DiskFaultKind::ChecksumMismatch);
 
-  run_on(tb, [&]() -> Task<void> { co_await read_and_verify(tb, ino, kSize); });
+  expect_whole_file(tb, ino, kSize);
 
   // The corruption never reached the client: the per-block CRC flagged it
   // and the initiator reread clean bytes.
@@ -290,7 +282,7 @@ TEST(Fault, ReassemblyExpiryEvictsStalePartials) {
         return true;
       });
 
-  run_on(tb, [&]() -> Task<void> {
+  run_on(tb.loop(), [&]() -> Task<void> {
     auto r = co_await tb.nfs_client(0).read(ino, 0, 32768);
     EXPECT_EQ(r.status, Status::Ok);
     EXPECT_EQ(fs::verify_content(ino, 0, r.data.to_bytes()), std::size_t(-1));
@@ -323,7 +315,7 @@ TEST(Fault, DegradationEngagesAndRecovers) {
   auto& dc = tb.ncache()->ladder_config();
   dc.physical_copy_at = 4;
 
-  run_on(tb, [&]() -> Task<void> {
+  run_on(tb.loop(), [&]() -> Task<void> {
     auto& client = tb.nfs_client(0);
     // One 32 KB read ingests 8 blocks; the first `threshold` inserts fail
     // and trip degradation, the rest bypass the pool.

@@ -6,6 +6,7 @@
 #include "http/client.h"
 #include "http/khttpd.h"
 #include "testbed/testbed.h"
+#include "workload/counters.h"
 
 namespace ncache::http {
 namespace {
@@ -60,8 +61,7 @@ TEST_P(HttpModes, GetSmallPage) {
       EXPECT_TRUE(r.junk);
     } else {
       EXPECT_FALSE(r.junk);
-      EXPECT_EQ(fs::verify_content(e.small_ino, 0, r.body.to_bytes()),
-                std::size_t(-1));
+      EXPECT_TRUE(workload::verify_payload(e.small_ino, 0, r.body));
     }
   });
 }
@@ -74,8 +74,7 @@ TEST_P(HttpModes, GetLargeBodyAcrossManyChunks) {
     auto r = co_await e.client->get("/big.bin");
     EXPECT_EQ(r.status, 200);
     EXPECT_EQ(r.content_length, 700'000u);
-    EXPECT_EQ(fs::verify_content(e.big_ino, 0, r.body.to_bytes()),
-              std::size_t(-1));
+    EXPECT_TRUE(workload::verify_payload(e.big_ino, 0, r.body));
   });
 }
 
@@ -149,8 +148,7 @@ TEST(HttpNCache, ZeroServerDataCopiesAndSubstitution) {
     auto r = co_await e.client->get("/big.bin");
     EXPECT_EQ(r.status, 200);
     EXPECT_FALSE(r.junk);
-    EXPECT_EQ(fs::verify_content(e.big_ino, 0, r.body.to_bytes()),
-              std::size_t(-1));
+    EXPECT_TRUE(workload::verify_payload(e.big_ino, 0, r.body));
     EXPECT_EQ(e.tb->server_node().copier.stats().data_copy_ops, 0u);
     EXPECT_GT(e.tb->ncache()->stats().frames_substituted, 100u);  // ~480
   });

@@ -15,8 +15,8 @@
 #include "fault/fault_injector.h"
 #include "testbed/testbed.h"
 #include "topo/presets.h"
-#include "workload/counters.h"
 #include "workload/nfs_workloads.h"
+#include "test_util.h"
 
 namespace ncache {
 namespace {
@@ -170,23 +170,24 @@ TEST(MetricsRoundTrip, RegistryDumpMatchesTypedSnapshot) {
   tb.start_nfs();
 
   // Warm, then run a short all-hit window.
-  auto warm_fn = [&]() -> Task<void> {
-    for (std::uint64_t off = 0; off < kHot; off += 32768) {
-      (void)co_await tb.nfs_client(0).read(ino, off, 32768);
-    }
-  };
-  sim::sync_wait(tb.loop(), warm_fn());
+  sim::sync_wait(tb.loop(), workload::read_file(tb.nfs_client(0), ino, 0,
+                                                kHot, 32768, nullptr));
 
+  auto hot = std::make_shared<workload::FileSet>();
+  hot->entries.push_back({ino, kHot, "hot.bin"});
   workload::StopFlag stop;
-  workload::Counters counters;
+  workload::Stream stream;
   for (int ci = 0; ci < tb.client_count(); ++ci) {
-    workload::hot_read_worker(tb.nfs_client(ci), ino, kHot, 32768,
-                              std::uint32_t(ci + 1), &stop, &counters)
+    workload::random_reader(tb.nfs_client(ci), hot, nullptr,
+                            Pcg32(std::uint32_t(ci + 1)), 32768, &stop,
+                            &stream)
         .detach();
   }
   tb.reset_stats();
   sim::Time window_start = tb.loop().now();
   workload::run_measurement(tb.loop(), stop, 30 * sim::kMillisecond);
+  EXPECT_GT(stream.ops, 0u);
+  expect_clean(stream);
 
   auto snap = tb.snapshot(window_start);
   EXPECT_GT(snap.nfs_requests, 0u);
@@ -288,8 +289,6 @@ void PrintTo(Shape s, std::ostream* os) { *os << shape_name(s); }
 
 class MetricsWindow : public ::testing::TestWithParam<Shape> {
  protected:
-  using Files = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
-
   void SetUp() override {
     const Shape shape = GetParam();
     switch (shape) {
@@ -334,12 +333,8 @@ class MetricsWindow : public ::testing::TestWithParam<Shape> {
         break;
       }
     }
-    auto files = std::make_shared<Files>();
-    for (int i = 0; i < 8; ++i) {
-      files->push_back(
-          {world().image().add_file("sfs" + std::to_string(i), 64 * 1024),
-           64 * 1024});
-    }
+    auto files = std::make_shared<workload::FileSet>();
+    files->add(world().image(), "sfs", 8, 64 * 1024);
     files_ = files;
     world().start_nfs();
     if (shape == Shape::FaultsBeforeWindow) {
@@ -408,7 +403,7 @@ class MetricsWindow : public ::testing::TestWithParam<Shape> {
     mix.read_fraction = 0.7;
     mix.seed = seed;
     workload::StopFlag stop;
-    workload::Counters counters;
+    workload::Stream stream;
     for (int c = 0; c < world().client_count(); ++c) {
       sim::EventLoop& loop =
           world().partitioned()
@@ -416,7 +411,7 @@ class MetricsWindow : public ::testing::TestWithParam<Shape> {
                     world().domain_of("client" + std::to_string(c)))
               : world().loop();
       workload::specsfs_worker(world().nfs_client(c), files_, mix,
-                               std::uint32_t(c), &stop, &counters)
+                               std::uint32_t(c), &stop, &stream)
           .detach(loop.reaper());
     }
     if (world().partitioned()) {
@@ -424,12 +419,12 @@ class MetricsWindow : public ::testing::TestWithParam<Shape> {
     } else {
       workload::run_measurement(world().loop(), stop, d);
     }
-    return counters.ops;
+    return stream.ops;
   }
 
   std::unique_ptr<testbed::Testbed> tb_;
   std::unique_ptr<topo::World> world_;
-  std::shared_ptr<const Files> files_;
+  std::shared_ptr<const workload::FileSet> files_;
 };
 
 TEST_P(MetricsWindow, ResetStatsZeroesTheWindow) {

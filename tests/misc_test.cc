@@ -11,6 +11,7 @@
 #include "proto/stack.h"
 #include "proto/switch.h"
 #include "testbed/testbed.h"
+#include "workload/nfs_workloads.h"
 
 namespace ncache {
 namespace {
@@ -275,14 +276,10 @@ TEST(Meters, SnapshotWindowsAreConsistent) {
   std::uint32_t ino = tb.image().add_file("f.bin", 1 << 20);
   tb.start_nfs();
 
-  auto fn = [&]() -> Task<void> {
-    for (std::uint64_t off = 0; off < (1u << 20); off += 32768) {
-      (void)co_await tb.nfs_client(0).read(ino, off, 32768);
-    }
-  };
   tb.reset_stats();
   sim::Time t0 = tb.loop().now();
-  sim::sync_wait(tb.loop(), fn());
+  sim::sync_wait(tb.loop(), workload::read_file(tb.nfs_client(0), ino, 0,
+                                                1 << 20, 32768, nullptr));
   auto snap = tb.snapshot(t0);
 
   EXPECT_GT(snap.elapsed_s, 0.0);

@@ -13,6 +13,7 @@
 #include "fs/image_builder.h"
 #include "testbed/testbed.h"
 #include "workload/nfs_workloads.h"
+#include "test_util.h"
 
 namespace ncache {
 namespace {
@@ -37,20 +38,18 @@ HotResult hot_run(PassMode mode, sim::CostModel costs,
   std::uint32_t ino = tb.image().add_file("hot.bin", 2 << 20);
   tb.start_nfs();
 
-  auto warm = [&]() -> Task<void> {
-    for (std::uint64_t off = 0; off < (2u << 20); off += request) {
-      (void)co_await tb.nfs_client(0).read(ino, off, request);
-    }
-  };
-  sim::sync_wait(tb.loop(), warm());
+  sim::sync_wait(tb.loop(), workload::read_file(tb.nfs_client(0), ino, 0,
+                                                2 << 20, request, nullptr));
 
+  auto hot = std::make_shared<workload::FileSet>();
+  hot->entries.push_back({ino, 2 << 20, "hot.bin"});
   workload::StopFlag stop;
-  workload::Counters counters;
+  workload::Stream stream;
   for (int ci = 0; ci < tb.client_count(); ++ci) {
     for (int w = 0; w < 8; ++w) {
-      workload::hot_read_worker(tb.nfs_client(ci), ino, 2 << 20, request,
-                                std::uint32_t(ci * 10 + w + 1), &stop,
-                                &counters)
+      workload::random_reader(tb.nfs_client(ci), hot, nullptr,
+                              Pcg32(std::uint32_t(ci * 10 + w + 1)), request,
+                              &stop, &stream)
           .detach();
     }
   }
@@ -58,7 +57,8 @@ HotResult hot_run(PassMode mode, sim::CostModel costs,
   sim::Time t0 = tb.loop().now();
   workload::run_measurement(tb.loop(), stop, 150 * sim::kMillisecond);
   auto snap = tb.snapshot(t0);
-  return {counters.mb_per_sec(150 * sim::kMillisecond), snap.server_cpu};
+  if (mode != PassMode::Baseline) expect_clean(stream);
+  return {stream.mb_per_sec(150 * sim::kMillisecond), snap.server_cpu};
 }
 
 TEST(ModelSweep, GainMonotoneInCopyCost) {

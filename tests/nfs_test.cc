@@ -8,6 +8,8 @@
 #include "nfs/client.h"
 #include "nfs/protocol.h"
 #include "testbed/testbed.h"
+#include "workload/nfs_workloads.h"
+#include "test_util.h"
 
 namespace ncache::nfs {
 namespace {
@@ -163,16 +165,12 @@ TEST_P(NfsModes, ReadsAreSizedAndShaped) {
 TEST_P(NfsModes, SequentialReadWholeFileIntegrity) {
   EndToEnd e(GetParam());
   if (GetParam() == PassMode::Baseline) GTEST_SKIP() << "junk by design";
-  e.run([&]() -> Task<void> {
-    auto& client = e.tb->nfs_client(0);
-    for (std::uint64_t off = 0; off < 512 * 1024; off += 32768) {
-      auto r = co_await client.read(e.file_ino, off, 32768);
-      EXPECT_EQ(r.status, Status::Ok);
-      auto bytes = r.data.to_bytes();
-      EXPECT_EQ(fs::verify_content(e.file_ino, off, bytes), std::size_t(-1))
-          << "corruption at offset " << off;
-    }
-  });
+  workload::Stream s;
+  sim::sync_wait(e.tb->loop(), workload::read_file(e.tb->nfs_client(0),
+                                                   e.file_ino, 0, 512 * 1024,
+                                                   32768, &s));
+  EXPECT_EQ(s.ops, 16u);
+  expect_clean(s);
 }
 
 TEST_P(NfsModes, WriteThenReadBack) {
@@ -318,19 +316,17 @@ TEST(NfsNCache, ActsAsSecondLevelCache) {
   e.run([&]() -> Task<void> {
     auto& client = e.tb->nfs_client(0);
     // Read 1 MB: populates the LBN cache.
-    for (std::uint64_t off = 0; off < 1024 * 1024; off += 32768) {
-      (void)co_await client.read(e.file_ino, off, 32768);
-    }
+    co_await workload::read_file(client, e.file_ino, 0, 1 << 20, 32768,
+                                 nullptr);
     // Evict the (tiny) fs cache, then re-read: the LBN cache absorbs the
     // misses without new storage traffic.
     co_await e.tb->fs().cache().drop_all();
     std::uint64_t target_reads = e.tb->target().stats().reads;
     auto probe_hits = e.tb->ncache()->stats().second_level_hits;
-    for (std::uint64_t off = 0; off < 1024 * 1024; off += 32768) {
-      auto r = co_await client.read(e.file_ino, off, 32768);
-      EXPECT_EQ(fs::verify_content(e.file_ino, off, r.data.to_bytes()),
-                std::size_t(-1));
-    }
+    workload::Stream s;
+    co_await workload::read_file(client, e.file_ino, 0, 1 << 20, 32768, &s);
+    EXPECT_EQ(s.ops, 32u);
+    expect_clean(s);
     // Metadata blocks (inode table, indirect) may be refetched — they are
     // not in the network-centric cache — but no *data* re-reads happen.
     EXPECT_LE(e.tb->target().stats().reads, target_reads + 2);
@@ -369,28 +365,22 @@ TEST(NfsClientBehaviour, TimesOutAgainstDeadServer) {
   });
 }
 
-Task<void> concurrent_reader(Testbed& tb, int ci, std::uint32_t ino,
-                             int* counter) {
-  auto& client = tb.nfs_client(ci);
-  for (std::uint64_t off = 0; off < 256 * 1024; off += 16384) {
-    auto r = co_await client.read(ino, off, 16384);
-    EXPECT_EQ(r.status, Status::Ok);
-    EXPECT_EQ(fs::verify_content(ino, off, r.data.to_bytes()),
-              std::size_t(-1));
-  }
-  ++*counter;
-}
-
 TEST(NfsServerBehaviour, ManyConcurrentClients) {
   TestbedConfig cfg;
   cfg.client_count = 2;
   EndToEnd e(PassMode::NCache, cfg);
 
-  int done = 0;
-  concurrent_reader(*e.tb, 0, e.file_ino, &done).detach();
-  concurrent_reader(*e.tb, 1, e.file_ino, &done).detach();
+  workload::Stream streams[2];
+  for (int ci = 0; ci < 2; ++ci) {
+    workload::read_file(e.tb->nfs_client(ci), e.file_ino, 0, 256 * 1024,
+                        16384, &streams[ci])
+        .detach();
+  }
   e.tb->loop().run();
-  EXPECT_EQ(done, 2);
+  for (const auto& s : streams) {
+    EXPECT_EQ(s.ops, 16u);
+    expect_clean(s);
+  }
 }
 
 

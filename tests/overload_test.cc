@@ -48,6 +48,7 @@
 #include "topo/presets.h"
 #include "workload/counters.h"
 #include "workload/load_curve.h"
+#include "test_util.h"
 
 namespace ncache {
 namespace {
@@ -67,12 +68,6 @@ using sim::kMillisecond;
 using sim::kSecond;
 using testbed::Testbed;
 using testbed::TestbedConfig;
-
-template <typename F>
-void run_on(sim::EventLoop& loop, F&& body) {
-  auto t_fn = [&]() -> Task<void> { co_await body(); };
-  sim::sync_wait(loop, t_fn());
-}
 
 MsgBuffer chain_of(std::size_t bytes, int seed) {
   MsgBuffer m;
@@ -720,6 +715,7 @@ TEST(OverloadDifferential, DisabledGatesAreByteIdentical) {
 struct OverloadRacksRun {
   std::vector<std::uint64_t> ops;
   std::vector<std::uint64_t> errors;
+  std::vector<std::uint64_t> digests;
   std::uint64_t total_ops = 0;
   std::uint64_t sheds = 0;
   sim::Time end_time = 0;
@@ -740,13 +736,8 @@ OverloadRacksRun run_racks_overload() {
   cfg.overload.codel.interval_ns = 10'000'000;
   topo::World world(topo::presets::cluster_racks(2, 2), cfg);
 
-  auto files = std::make_shared<
-      std::vector<std::pair<std::uint64_t, std::uint64_t>>>();
-  for (int i = 0; i < 8; ++i) {
-    files->push_back(
-        {world.image().add_file("o" + std::to_string(i), 64 * 1024),
-         64 * 1024});
-  }
+  auto files = std::make_shared<workload::FileSet>();
+  files->add(world.image(), "o", 8, 64 * 1024);
   world.start_nfs();
 
   workload::LoadCurve::Config lc;
@@ -755,23 +746,24 @@ OverloadRacksRun run_racks_overload() {
   auto curve = std::make_shared<const workload::LoadCurve>(lc);
 
   const int n = world.client_count();
-  std::vector<workload::Counters> counters;
-  counters.resize(std::size_t(n));
+  std::vector<workload::Stream> streams(static_cast<std::size_t>(n));
   workload::StopFlag stop;
   for (int c = 0; c < n; ++c) {
     unsigned d = world.domain_of("client" + std::to_string(c));
     workload::open_loop_nfs_reads(world.nfs_client(c), curve, files, 16384,
                                   std::uint32_t(300 + c), &stop,
-                                  &counters[std::size_t(c)])
+                                  &streams[std::size_t(c)])
         .detach(world.engine().domain_loop(d).reaper());
   }
   workload::run_measurement(world.engine(), stop, 120 * kMillisecond);
 
   OverloadRacksRun run;
-  for (auto& c : counters) {
-    run.ops.push_back(c.ops);
-    run.errors.push_back(c.errors);
-    run.total_ops += c.ops;
+  for (auto& s : streams) {
+    run.ops.push_back(s.ops);
+    run.errors.push_back(s.errors);
+    run.digests.push_back(s.digest);
+    run.total_ops += s.ops;
+    EXPECT_EQ(s.verify_failures, 0u);
   }
   for (int i = 0; i < world.server_count(); ++i) {
     const auto& st = world.server(i).nfs->stats();
@@ -791,6 +783,7 @@ TEST(OverloadParallel, FlashCrowdRepeatRunByteIdentical) {
   EXPECT_GT(a.sheds, 0u) << "the spike should engage the shedding spine";
   EXPECT_EQ(a.ops, b.ops) << "same-seed runs diverged under overload";
   EXPECT_EQ(a.errors, b.errors);
+  EXPECT_EQ(a.digests, b.digests);
   EXPECT_EQ(a.sheds, b.sheds);
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.rounds, b.rounds);

@@ -8,7 +8,7 @@
 //    equivalence to K=1.
 //  * cores= topology attribute: builder, text round-trip, validation.
 //  * Partitioned worlds (presets::cluster_racks): correct end-to-end NFS
-//    bytes, two same-seed runs byte-identical (stream hashes, op counts,
+//    bytes, two same-seed runs byte-identical (stream digests, op counts,
 //    final sim clock, metrics JSON, round counts), SMP servers spread load
 //    across cores and account cross-core cache handoffs.
 #include <gtest/gtest.h>
@@ -16,19 +16,17 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
-#include "common/zipf.h"
 #include "sim/cpu_model.h"
 #include "sim/parallel.h"
 #include "topo/instantiator.h"
 #include "topo/presets.h"
-#include "workload/counters.h"
+#include "workload/nfs_workloads.h"
+#include "test_util.h"
 
 namespace ncache {
 namespace {
 
 using core::PassMode;
-using nfs::Status;
 
 // ---------------------------------------------------------------------------
 // ParallelEngine
@@ -247,32 +245,16 @@ TEST(TopologyCores, ValidatorRejectsCoresOnNonServer) {
 // Partitioned worlds
 // ---------------------------------------------------------------------------
 
-/// Closed-loop Zipf reader folding payload bytes into an order-sensitive
-/// FNV stream hash (same shape as the cluster parity tests).
-Task<void> zipf_worker(nfs::NfsClient* cl, int client,
-                       const std::vector<std::uint64_t>* files,
-                       const ZipfSampler* zipf, std::uint64_t seed,
-                       workload::StopFlag* stop, std::uint64_t* stream_hash,
-                       std::uint64_t* ops) {
-  ++stop->live_workers;
-  Pcg32 rng(seed, 0xA000u + std::uint64_t(client));
-  while (!stop->stopped) {
-    std::uint64_t fh = (*files)[zipf->sample(rng)];
-    std::uint64_t off = 32768ull * rng.below(2);
-    auto r = co_await cl->read(std::uint32_t(fh), off, 32768);
-    if (r.status == Status::Ok) {
-      for (std::byte b : r.data.to_bytes()) {
-        *stream_hash = (*stream_hash ^ std::uint64_t(b)) * 0x100000001b3ull;
-      }
-      ++*ops;
-    }
-  }
-  --stop->live_workers;
+/// Adds 32 files "z<i>" of 64 KB to the world's image and starts it.
+std::shared_ptr<const workload::FileSet> start_with_files(topo::World& world) {
+  auto files = std::make_shared<workload::FileSet>();
+  files->add(world.image(), "z", 32, 64 * 1024);
+  world.start_nfs();
+  return files;
 }
 
 struct RacksRun {
-  std::vector<std::uint64_t> hashes;
-  std::uint64_t total_ops = 0;
+  std::vector<workload::Stream> streams;
   sim::Time end_time = 0;
   std::string metrics_json;
   std::uint64_t rounds = 0;
@@ -295,31 +277,15 @@ RacksRun run_racks(const RacksOptions& opt) {
   topo::World world(
       topo::presets::cluster_racks(opt.racks, opt.clients_per_rack), cfg);
 
-  std::vector<std::uint64_t> files;
-  for (int i = 0; i < 32; ++i) {
-    files.push_back(world.image().add_file("z" + std::to_string(i), 64 * 1024));
-  }
-  world.start_nfs();
+  auto files = start_with_files(world);
   if (!opt.rss) {
     for (int s = 0; s < world.server_count(); ++s) {
       world.server(s).node->stack.cpu().set_rss(false);
     }
   }
 
-  const int n = world.client_count();
-  ZipfSampler zipf(32, 0.98);
   RacksRun run;
-  run.hashes.assign(std::size_t(n), 0xcbf29ce484222325ull);
-  std::vector<std::uint64_t> ops(std::size_t(n), 0);
-  workload::StopFlag stop;
-  for (int c = 0; c < n; ++c) {
-    unsigned d = world.domain_of("client" + std::to_string(c));
-    zipf_worker(&world.nfs_client(c), c, &files, &zipf, 77, &stop,
-                &run.hashes[std::size_t(c)], &ops[std::size_t(c)])
-        .detach(world.engine().domain_loop(d).reaper());
-  }
-  workload::run_measurement(world.engine(), stop, opt.duration);
-  for (std::uint64_t o : ops) run.total_ops += o;
+  run.streams = run_zipf_readers(world, files, 0.98, 77, 0xA000, opt.duration);
   run.end_time = world.engine().now();
   run.metrics_json = world.metrics().to_json().dump();
   run.rounds = world.engine().rounds();
@@ -339,25 +305,18 @@ TEST(PartitionedWorld, ServesCorrectBytesAcrossRacks) {
   EXPECT_THROW(world.loop(), std::logic_error);
 
   // One reader per rack; every block content-verified against the image.
-  // Captureless, so the coroutine frame owns copies of its arguments (a
-  // capturing lambda's captures die with the lambda, before the frame).
-  int done = 0;
-  auto reader = [](topo::World& world, int& done, std::uint32_t ino,
-                   int c) -> Task<void> {
-    for (std::uint64_t off = 0; off < kSize; off += 32768) {
-      auto r = co_await world.nfs_client(c).read(ino, off, 32768);
-      EXPECT_EQ(r.status, Status::Ok) << "client " << c << " off " << off;
-      auto bytes = r.data.to_bytes();
-      EXPECT_EQ(fs::verify_content(ino, off, bytes), std::size_t(-1));
-    }
-    ++done;
-  };
+  std::vector<workload::Stream> streams(std::size_t(world.client_count()));
   for (int c = 0; c < world.client_count(); ++c) {
     unsigned d = world.domain_of("client" + std::to_string(c));
-    reader(world, done, ino, c).detach(world.engine().domain_loop(d).reaper());
+    workload::read_file(world.nfs_client(c), ino, 0, kSize, 32768,
+                        &streams[std::size_t(c)])
+        .detach(world.engine().domain_loop(d).reaper());
   }
-  world.engine().run([&] { return done == world.client_count(); });
-  EXPECT_EQ(done, world.client_count());
+  world.engine().run([&] { return total_ops(streams) == 3 * streams.size(); });
+  for (const auto& s : streams) {
+    EXPECT_EQ(s.ops, 3u);
+    expect_clean(s);
+  }
   EXPECT_GT(world.engine().rounds(), 0u);
 }
 
@@ -368,9 +327,8 @@ TEST(PartitionedWorld, RepeatRunByteIdentical) {
   RacksRun a = run_racks(opt);
   RacksRun b = run_racks(opt);
 
-  EXPECT_GT(a.total_ops, 0u);
-  EXPECT_EQ(a.hashes, b.hashes) << "same-seed runs diverged";
-  EXPECT_EQ(a.total_ops, b.total_ops);
+  EXPECT_GT(total_ops(a.streams), 0u);
+  expect_same_streams(a.streams, b.streams);
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
   EXPECT_EQ(a.rounds, b.rounds);
@@ -384,9 +342,8 @@ TEST(PartitionedWorld, SmpRssOffMatchesSingleCoreModel) {
   opt.cores = 4;
   opt.rss = false;
   RacksRun k4 = run_racks(opt);
-  EXPECT_GT(k1.total_ops, 0u);
-  EXPECT_EQ(k1.hashes, k4.hashes);
-  EXPECT_EQ(k1.total_ops, k4.total_ops);
+  EXPECT_GT(total_ops(k1.streams), 0u);
+  expect_same_streams(k1.streams, k4.streams);
   EXPECT_EQ(k1.end_time, k4.end_time);
 }
 
@@ -397,24 +354,10 @@ TEST(PartitionedWorld, SmpServersSpreadLoadAndAccountHandoffs) {
   cfg.peer_without_balancer = true;
   cfg.server_cores = 4;
   topo::World world(topo::presets::cluster_racks(1, 4), cfg);
-  std::vector<std::uint64_t> files;
-  for (int i = 0; i < 32; ++i) {
-    files.push_back(world.image().add_file("z" + std::to_string(i), 64 * 1024));
+  for (const auto& s : run_zipf_readers(world, start_with_files(world), 0.98,
+                                        77, 0xA000, 120 * sim::kMillisecond)) {
+    expect_clean(s);
   }
-  world.start_nfs();
-
-  const int n = world.client_count();
-  ZipfSampler zipf(32, 0.98);
-  std::vector<std::uint64_t> hashes(std::size_t(n), 0xcbf29ce484222325ull);
-  std::vector<std::uint64_t> ops(std::size_t(n), 0);
-  workload::StopFlag stop;
-  for (int c = 0; c < n; ++c) {
-    unsigned d = world.domain_of("client" + std::to_string(c));
-    zipf_worker(&world.nfs_client(c), c, &files, &zipf, 77, &stop,
-                &hashes[std::size_t(c)], &ops[std::size_t(c)])
-        .detach(world.engine().domain_loop(d).reaper());
-  }
-  workload::run_measurement(world.engine(), stop, 120 * sim::kMillisecond);
 
   sim::CpuModel& cpu = world.server(0).node->stack.cpu();
   ASSERT_EQ(cpu.cores(), 4u);
@@ -449,31 +392,15 @@ TEST(PartitionedWorld, TracksSequentialSingleLoopWorld) {
   cfg.partitioned = false;
   cfg.peer_without_balancer = true;
   topo::World world(topo::presets::cluster_racks(2, 2), cfg);
-  std::vector<std::uint64_t> files;
-  for (int i = 0; i < 32; ++i) {
-    files.push_back(world.image().add_file("z" + std::to_string(i), 64 * 1024));
-  }
-  world.start_nfs();
-
-  const int n = world.client_count();
-  ZipfSampler zipf(32, 0.98);
-  std::vector<std::uint64_t> hashes(std::size_t(n), 0xcbf29ce484222325ull);
-  std::vector<std::uint64_t> ops(std::size_t(n), 0);
-  workload::StopFlag stop;
-  for (int c = 0; c < n; ++c) {
-    zipf_worker(&world.nfs_client(c), c, &files, &zipf, 77, &stop,
-                &hashes[std::size_t(c)], &ops[std::size_t(c)])
-        .detach(world.loop().reaper());
-  }
-  workload::run_measurement(world.loop(), stop, 120 * sim::kMillisecond);
-  std::uint64_t total = 0;
-  for (std::uint64_t o : ops) total += o;
+  std::uint64_t total = total_ops(run_zipf_readers(
+      world, start_with_files(world), 0.98, 77, 0xA000,
+      120 * sim::kMillisecond));
 
   RacksOptions opt;
   RacksRun part = run_racks(opt);
   EXPECT_GT(total, 0u);
-  EXPECT_GT(part.total_ops, 0u);
-  double ratio = double(part.total_ops) / double(total);
+  EXPECT_GT(total_ops(part.streams), 0u);
+  double ratio = double(total_ops(part.streams)) / double(total);
   EXPECT_GT(ratio, 0.9) << "partitioned run simulated far fewer ops";
   EXPECT_LT(ratio, 1.1) << "partitioned run simulated far more ops";
 }

@@ -31,13 +31,12 @@
 
 #include "cluster/cluster_testbed.h"
 #include "cluster/epoch.h"
-#include "common/rng.h"
-#include "common/zipf.h"
 #include "fault/fault_injector.h"
 #include "fs/image_builder.h"
 #include "topo/instantiator.h"
 #include "topo/presets.h"
-#include "workload/counters.h"
+#include "workload/nfs_workloads.h"
+#include "test_util.h"
 
 namespace ncache {
 namespace {
@@ -49,12 +48,6 @@ using cluster::kExtentBlocks;
 using core::PassMode;
 using nfs::Status;
 using sim::kMillisecond;
-
-template <typename F>
-void run_on(sim::EventLoop& loop, F&& body) {
-  auto t_fn = [&]() -> Task<void> { co_await body(); };
-  sim::sync_wait(loop, t_fn());
-}
 
 // ---------------------------------------------------------------------------
 // RFC 1982 serial epochs
@@ -280,17 +273,16 @@ TEST(ReliableInvalidate, RetransmitsAcrossTheCutAndConverges) {
   auto& p0 = *world.server(0).peers;
   auto& p1 = *world.server(1).peers;
 
+  workload::Stream warm;
   run_on(world.loop(), [&]() -> Task<void> {
     // Warm both rack servers: each rack's client reads the whole file
     // through its rack-local server.
     for (int c = 0; c < 2; ++c) {
-      for (std::uint64_t off = 0; off < kSize; off += 32768) {
-        auto r = co_await world.nfs_client(c).read(ino, off, 32768);
-        EXPECT_EQ(r.status, Status::Ok);
-        EXPECT_EQ(fs::verify_content(ino, off, r.data.to_bytes()),
-                  std::size_t(-1));
-      }
+      co_await workload::read_file(world.nfs_client(c), ino, 0, kSize, 32768,
+                                   &warm);
     }
+    EXPECT_EQ(warm.ops, 4u);
+    expect_clean(warm);
 
     // Cut rack1 off the core for 150 ms, then write through rack0 while
     // the cut holds: the INVALIDATE to server1 cannot be delivered, so
@@ -582,30 +574,8 @@ TEST(PartitionDiff, CutDuringRebalanceConverges) {
 // Partition under the ParallelEngine: byte-identical across same-seed runs
 // ---------------------------------------------------------------------------
 
-Task<void> zipf_worker(nfs::NfsClient* client, int id,
-                       const std::vector<std::uint64_t>* files,
-                       const ZipfSampler* zipf, std::uint64_t seed,
-                       workload::StopFlag* stop, std::uint64_t* stream_hash,
-                       std::uint64_t* ops) {
-  ++stop->live_workers;
-  Pcg32 rng(seed, 0x7000u + std::uint64_t(id));
-  while (!stop->stopped) {
-    std::uint64_t fh = (*files)[zipf->sample(rng)];
-    std::uint64_t off = 32768ull * rng.below(2);
-    auto r = co_await client->read(fh, off, 32768);
-    if (r.status == Status::Ok) {
-      for (std::byte b : r.data.to_bytes()) {
-        *stream_hash = (*stream_hash ^ std::uint64_t(b)) * 0x100000001b3ull;
-      }
-      ++*ops;
-    }
-  }
-  --stop->live_workers;
-}
-
 struct PartitionRacksRun {
-  std::vector<std::uint64_t> hashes;
-  std::uint64_t total_ops = 0;
+  std::vector<workload::Stream> streams;
   sim::Time end_time = 0;
   std::string metrics_json;
   std::uint64_t rounds = 0;
@@ -618,10 +588,8 @@ PartitionRacksRun run_racks_partition() {
   cfg.peer_without_balancer = true;
   topo::World world(topo::presets::cluster_racks(2, 2), cfg);
 
-  std::vector<std::uint64_t> files;
-  for (int i = 0; i < 16; ++i) {
-    files.push_back(world.image().add_file("z" + std::to_string(i), 64 * 1024));
-  }
+  auto files = std::make_shared<workload::FileSet>();
+  files->add(world.image(), "z", 16, 64 * 1024);
   world.start_nfs();
 
   // Cut rack1 for [30 ms, 80 ms). Arming happens before the engine runs;
@@ -631,20 +599,9 @@ PartitionRacksRun run_racks_partition() {
   EXPECT_EQ(world.faults().stats().partitions_armed, 1u);
   EXPECT_EQ(world.faults().stats().partition_cuts, 2u);
 
-  const int n = world.client_count();
-  ZipfSampler zipf(16, 0.98);
   PartitionRacksRun run;
-  run.hashes.assign(std::size_t(n), 0xcbf29ce484222325ull);
-  std::vector<std::uint64_t> ops(std::size_t(n), 0);
-  workload::StopFlag stop;
-  for (int c = 0; c < n; ++c) {
-    unsigned d = world.domain_of("client" + std::to_string(c));
-    zipf_worker(&world.nfs_client(c), c, &files, &zipf, 91, &stop,
-                &run.hashes[std::size_t(c)], &ops[std::size_t(c)])
-        .detach(world.engine().domain_loop(d).reaper());
-  }
-  workload::run_measurement(world.engine(), stop, 120 * kMillisecond);
-  for (std::uint64_t o : ops) run.total_ops += o;
+  run.streams =
+      run_zipf_readers(world, files, 0.98, 91, 0x7000, 120 * kMillisecond);
   run.end_time = world.engine().now();
   run.metrics_json = world.metrics().to_json().dump();
   run.rounds = world.engine().rounds();
@@ -655,9 +612,8 @@ TEST(PartitionParallel, RepeatRunByteIdenticalUnderPartition) {
   PartitionRacksRun a = run_racks_partition();
   PartitionRacksRun b = run_racks_partition();
 
-  EXPECT_GT(a.total_ops, 0u);
-  EXPECT_EQ(a.hashes, b.hashes) << "same-seed runs diverged under partition";
-  EXPECT_EQ(a.total_ops, b.total_ops);
+  EXPECT_GT(total_ops(a.streams), 0u);
+  expect_same_streams(a.streams, b.streams);
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.metrics_json, b.metrics_json);

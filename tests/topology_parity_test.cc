@@ -26,31 +26,14 @@
 #include "testbed/testbed.h"
 #include "topo/instantiator.h"
 #include "topo/presets.h"
-#include "workload/counters.h"
+#include "workload/nfs_workloads.h"
+#include "test_util.h"
 
 namespace ncache {
 namespace {
 
 using core::PassMode;
-using nfs::Status;
 
-template <typename F>
-void run_on(sim::EventLoop& loop, F&& body) {
-  auto t_fn = [&]() -> Task<void> { co_await body(); };
-  sim::sync_wait(loop, t_fn());
-}
-
-Task<void> read_all(nfs::NfsClient& client, std::uint32_t ino,
-                    std::size_t size, std::vector<std::byte>* out) {
-  for (std::uint64_t off = 0; off < size; off += 32768) {
-    auto r = co_await client.read(ino, off, 32768);
-    EXPECT_EQ(r.status, Status::Ok) << "offset " << off;
-    auto bytes = r.data.to_bytes();
-    EXPECT_EQ(fs::verify_content(ino, off, bytes), std::size_t(-1))
-        << "offset " << off;
-    if (out) out->insert(out->end(), bytes.begin(), bytes.end());
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Hand-wired replica of the historical single-server constructor
@@ -163,10 +146,12 @@ TEST_P(SingleServerParity, FacadeMatchesHandWiredLegacy) {
   LegacySingle legacy(mode, nics, 2);
   std::uint32_t ino = legacy.image->add_file("f.bin", kSize);
   legacy.start_nfs(mode);
-  std::vector<std::byte> legacy_bytes;
+  workload::Stream legacy_stream;
   run_on(legacy.loop, [&]() -> Task<void> {
-    co_await read_all(*legacy.nfs_clients[0], ino, kSize, &legacy_bytes);
-    co_await read_all(*legacy.nfs_clients[1], ino, kSize, &legacy_bytes);
+    co_await workload::read_file(*legacy.nfs_clients[0], ino, 0, kSize, 32768,
+                                 &legacy_stream);
+    co_await workload::read_file(*legacy.nfs_clients[1], ino, 0, kSize, 32768,
+                                 &legacy_stream);
   });
 
   testbed::TestbedConfig cfg;
@@ -177,14 +162,19 @@ TEST_P(SingleServerParity, FacadeMatchesHandWiredLegacy) {
   std::uint32_t tino = tb.image().add_file("f.bin", kSize);
   ASSERT_EQ(tino, ino);
   tb.start_nfs();
-  std::vector<std::byte> facade_bytes;
+  workload::Stream facade_stream;
   run_on(tb.loop(), [&]() -> Task<void> {
-    co_await read_all(tb.nfs_client(0), tino, kSize, &facade_bytes);
-    co_await read_all(tb.nfs_client(1), tino, kSize, &facade_bytes);
+    co_await workload::read_file(tb.nfs_client(0), tino, 0, kSize, 32768,
+                                 &facade_stream);
+    co_await workload::read_file(tb.nfs_client(1), tino, 0, kSize, 32768,
+                                 &facade_stream);
   });
 
-  EXPECT_EQ(legacy_bytes.size(), 2 * kSize);
-  EXPECT_TRUE(legacy_bytes == facade_bytes)
+  EXPECT_EQ(legacy_stream.bytes, 2 * kSize);
+  expect_clean(legacy_stream);
+  expect_clean(facade_stream);
+  EXPECT_EQ(legacy_stream.ops, facade_stream.ops);
+  EXPECT_EQ(legacy_stream.digest, facade_stream.digest)
       << "client-visible stream differs from the hand-wired constructor";
   EXPECT_EQ(legacy.loop.now(), tb.loop().now())
       << "event timelines diverged";
@@ -338,32 +328,26 @@ struct LegacyCluster {
   }
 };
 
-/// Closed-loop Zipf reader; folds every payload byte into an
-/// order-sensitive FNV stream hash.
-Task<void> zipf_worker(nfs::NfsClient* cl, int client,
-                       const std::vector<std::uint64_t>* files,
-                       const ZipfSampler* zipf, std::uint64_t seed,
-                       workload::StopFlag* stop, std::uint64_t* stream_hash,
-                       std::uint64_t* ops) {
-  ++stop->live_workers;
-  Pcg32 rng(seed, 0x9000u + std::uint64_t(client));
-  while (!stop->stopped) {
-    std::uint64_t fh = (*files)[zipf->sample(rng)];
-    std::uint64_t off = 32768ull * rng.below(2);
-    auto r = co_await cl->read(std::uint32_t(fh), off, 32768);
-    if (r.status == Status::Ok) {
-      for (std::byte b : r.data.to_bytes()) {
-        *stream_hash = (*stream_hash ^ std::uint64_t(b)) * 0x100000001b3ull;
-      }
-      ++*ops;
-    }
+/// Closed-loop Zipf-popular 32 KB readers, one stream per client, for
+/// 150 ms of `loop`.
+std::vector<workload::Stream> run_zipf_clients(
+    sim::EventLoop& loop, const std::vector<nfs::NfsClient*>& clients,
+    std::shared_ptr<const workload::FileSet> files) {
+  auto zipf = std::make_shared<const ZipfSampler>(files->entries.size(), 0.98);
+  std::vector<workload::Stream> streams(clients.size());
+  workload::StopFlag stop;
+  for (std::size_t c = 0; c < clients.size(); ++c) {
+    workload::random_reader(*clients[c], files, zipf,
+                            Pcg32(/*seed=*/77, 0x9000u + c), 32768, &stop,
+                            &streams[c])
+        .detach(loop.reaper());
   }
-  --stop->live_workers;
+  workload::run_measurement(loop, stop, 150 * sim::kMillisecond);
+  return streams;
 }
 
 struct ZipfResult {
-  std::vector<std::uint64_t> hashes;
-  std::uint64_t total_ops = 0;
+  std::vector<workload::Stream> streams;
   sim::Time end_time = 0;
   std::uint64_t target_reads = 0;
   std::uint64_t peer_hits = 0;
@@ -374,26 +358,14 @@ TEST(ClusterParity, FacadeMatchesHandWiredLegacy) {
   constexpr int kServers = 2, kClients = 2;
 
   LegacyCluster legacy(PassMode::NCache, kServers, kClients);
-  std::vector<std::uint64_t> lfiles;
+  auto lfiles = std::make_shared<workload::FileSet>();
   ZipfResult lres;
   {
-    for (int i = 0; i < 32; ++i) {
-      lfiles.push_back(
-          legacy.image->add_file("z" + std::to_string(i), 64 * 1024));
-    }
+    lfiles->add(*legacy.image, "z", 32, 64 * 1024);
     legacy.start_nfs();
-    ZipfSampler zipf(32, 0.98);
-    lres.hashes.assign(kClients, 0xcbf29ce484222325ull);
-    std::vector<std::uint64_t> ops(kClients, 0);
-    workload::StopFlag stop;
-    for (int c = 0; c < kClients; ++c) {
-      zipf_worker(legacy.nfs_clients[std::size_t(c)].get(), c, &lfiles, &zipf,
-                  77, &stop, &lres.hashes[std::size_t(c)],
-                  &ops[std::size_t(c)])
-          .detach(legacy.loop.reaper());
-    }
-    workload::run_measurement(legacy.loop, stop, 150 * sim::kMillisecond);
-    for (std::uint64_t o : ops) lres.total_ops += o;
+    std::vector<nfs::NfsClient*> clients;
+    for (auto& c : legacy.nfs_clients) clients.push_back(c.get());
+    lres.streams = run_zipf_clients(legacy.loop, clients, lfiles);
     lres.end_time = legacy.loop.now();
     lres.target_reads = legacy.target->stats().reads;
     for (auto& r : legacy.replicas) {
@@ -407,35 +379,25 @@ TEST(ClusterParity, FacadeMatchesHandWiredLegacy) {
   cfg.server_count = kServers;
   cfg.client_count = kClients;
   cluster::ClusterTestbed cc(cfg);
-  std::vector<std::uint64_t> cfiles;
-  for (int i = 0; i < 32; ++i) {
-    cfiles.push_back(cc.image().add_file("z" + std::to_string(i), 64 * 1024));
+  auto cfiles = std::make_shared<workload::FileSet>();
+  cfiles->add(cc.image(), "z", 32, 64 * 1024);
+  for (std::size_t i = 0; i < cfiles->entries.size(); ++i) {
+    ASSERT_EQ(cfiles->entries[i].ino, lfiles->entries[i].ino);
   }
-  ASSERT_EQ(cfiles, lfiles);
   cc.start_nfs();
   ZipfResult cres;
   {
-    ZipfSampler zipf(32, 0.98);
-    cres.hashes.assign(kClients, 0xcbf29ce484222325ull);
-    std::vector<std::uint64_t> ops(kClients, 0);
-    workload::StopFlag stop;
-    for (int c = 0; c < kClients; ++c) {
-      zipf_worker(&cc.nfs_client(c), c, &cfiles, &zipf, 77, &stop,
-                  &cres.hashes[std::size_t(c)], &ops[std::size_t(c)])
-          .detach(cc.loop().reaper());
-    }
-    workload::run_measurement(cc.loop(), stop, 150 * sim::kMillisecond);
-    for (std::uint64_t o : ops) cres.total_ops += o;
+    std::vector<nfs::NfsClient*> clients;
+    for (int c = 0; c < kClients; ++c) clients.push_back(&cc.nfs_client(c));
+    cres.streams = run_zipf_clients(cc.loop(), clients, cfiles);
     cres.end_time = cc.loop().now();
     cres.target_reads = cc.total_target_reads();
     cres.peer_hits = cc.total_peer_hits();
     cres.peer_misses = cc.total_peer_misses();
   }
 
-  EXPECT_GT(lres.total_ops, 0u);
-  EXPECT_EQ(lres.hashes, cres.hashes)
-      << "client streams differ from the hand-wired cluster";
-  EXPECT_EQ(lres.total_ops, cres.total_ops);
+  EXPECT_GT(total_ops(lres.streams), 0u);
+  expect_same_streams(lres.streams, cres.streams);
   EXPECT_EQ(lres.end_time, cres.end_time) << "event timelines diverged";
   EXPECT_EQ(lres.target_reads, cres.target_reads);
   EXPECT_EQ(lres.peer_hits, cres.peer_hits);
@@ -452,11 +414,15 @@ std::string run_world_metrics(const topo::Topology& shape) {
   topo::World world(shape, cfg);
   std::uint32_t ino = world.image().add_file("f.bin", 128 * 1024);
   world.start_nfs();
+  workload::Stream stream;
   run_on(world.loop(), [&]() -> Task<void> {
     for (int c = 0; c < world.client_count(); ++c) {
-      co_await read_all(world.nfs_client(c), ino, 128 * 1024, nullptr);
+      co_await workload::read_file(world.nfs_client(c), ino, 0, 128 * 1024,
+                                   32768, &stream);
     }
   });
+  expect_clean(stream);
+  EXPECT_EQ(stream.ops, 4u * std::uint64_t(world.client_count()));
   return world.metrics().to_json().dump();
 }
 
@@ -481,13 +447,16 @@ TEST(TwoRackWan, ReadsTraverseTheTrunkCorrectly) {
   std::uint32_t ino = world.image().add_file("f.bin", kSize);
   world.start_nfs();
 
-  std::vector<std::byte> bytes;
+  workload::Stream stream;
   sim::Time t0 = world.loop().now();
   run_on(world.loop(), [&]() -> Task<void> {
-    co_await read_all(world.nfs_client(0), ino, kSize, &bytes);
-    co_await read_all(world.nfs_client(1), ino, kSize, &bytes);
+    co_await workload::read_file(world.nfs_client(0), ino, 0, kSize, 32768,
+                                 &stream);
+    co_await workload::read_file(world.nfs_client(1), ino, 0, kSize, 32768,
+                                 &stream);
   });
-  EXPECT_EQ(bytes.size(), 2 * kSize);
+  EXPECT_EQ(stream.bytes, 2 * kSize);
+  expect_clean(stream);
 
   // The client racks' only path to the server is the trunk.
   sim::DuplexLink& trunk = world.trunk("rack_a", "rack_b");
@@ -515,9 +484,12 @@ LossyRun run_lossy_wan(std::uint64_t seed) {
                     cfg);
   std::uint32_t ino = world.image().add_file("f.bin", 96 * 1024);
   world.start_nfs();
-  run_on(world.loop(), [&]() -> Task<void> {
-    co_await read_all(world.nfs_client(0), ino, 96 * 1024, nullptr);
-  });
+  workload::Stream stream;
+  sim::sync_wait(world.loop(),
+                 workload::read_file(world.nfs_client(0), ino, 0, 96 * 1024,
+                                     32768, &stream));
+  expect_clean(stream);
+  EXPECT_EQ(stream.ops, 3u);
   sim::DuplexLink& trunk = world.trunk("rack_a", "rack_b");
   LossyRun run;
   run.metrics_json = world.metrics().to_json().dump();

@@ -7,6 +7,8 @@
 
 #include "fs/image_builder.h"
 #include "testbed/testbed.h"
+#include "workload/nfs_workloads.h"
+#include "test_util.h"
 
 namespace ncache {
 namespace {
@@ -15,12 +17,6 @@ using core::PassMode;
 using nfs::Status;
 using testbed::Testbed;
 using testbed::TestbedConfig;
-
-template <typename F>
-void run_on(Testbed& tb, F&& body) {
-  auto t_fn = [&]() -> Task<void> { co_await body(); };
-  sim::sync_wait(tb.loop(), t_fn());
-}
 
 class WireTargetModes : public ::testing::TestWithParam<PassMode> {};
 
@@ -33,20 +29,17 @@ TEST_P(WireTargetModes, EndToEndIntegrityWithExtension) {
   tb.start_nfs();
   if (GetParam() == PassMode::Baseline) GTEST_SKIP() << "junk by design";
 
-  run_on(tb, [&]() -> Task<void> {
-    auto& client = tb.nfs_client(0);
+  workload::Stream s;
+  run_on(tb.loop(), [&]() -> Task<void> {
     for (int pass = 0; pass < 2; ++pass) {  // cold pass, then warm
       co_await tb.fs().cache().drop_all();
       if (tb.ncache()) tb.ncache()->cache().clear();
-      for (std::uint64_t off = 0; off < (1u << 20); off += 32768) {
-        auto r = co_await client.read(ino, off, 32768);
-        EXPECT_EQ(r.status, Status::Ok);
-        EXPECT_EQ(fs::verify_content(ino, off, r.data.to_bytes()),
-                  std::size_t(-1))
-            << "pass " << pass << " offset " << off;
-      }
+      co_await workload::read_file(tb.nfs_client(0), ino, 0, 1 << 20, 32768,
+                                   &s);
     }
   });
+  EXPECT_EQ(s.ops, 64u);
+  expect_clean(s);
   EXPECT_GT(tb.target().stats().wire_cache_misses, 0u);
   EXPECT_GT(tb.target().stats().wire_cache_hits, 0u);
 }
@@ -66,7 +59,7 @@ TEST(WireTarget, ColdReadIsOneCopyWarmReadIsZero) {
   std::uint32_t ino = tb.image().add_file("f.bin", 256 * 1024);
   tb.start_nfs();
 
-  run_on(tb, [&]() -> Task<void> {
+  run_on(tb.loop(), [&]() -> Task<void> {
     auto& client = tb.nfs_client(0);
     (void)co_await client.getattr(ino);  // warm server metadata
 
@@ -93,18 +86,15 @@ TEST(WireTarget, WarmReadsSkipTheDisks) {
   std::uint32_t ino = tb.image().add_file("f.bin", 1 << 20);
   tb.start_nfs();
 
-  run_on(tb, [&]() -> Task<void> {
+  workload::Stream s;
+  run_on(tb.loop(), [&]() -> Task<void> {
     auto& client = tb.nfs_client(0);
-    for (std::uint64_t off = 0; off < (1u << 20); off += 32768) {
-      (void)co_await client.read(ino, off, 32768);
-    }
+    co_await workload::read_file(client, ino, 0, 1 << 20, 32768, nullptr);
     std::uint64_t disk_reads = tb.store().reads();
     co_await tb.fs().cache().drop_all();
-    for (std::uint64_t off = 0; off < (1u << 20); off += 32768) {
-      auto r = co_await client.read(ino, off, 32768);
-      EXPECT_EQ(fs::verify_content(ino, off, r.data.to_bytes()),
-                std::size_t(-1));
-    }
+    co_await workload::read_file(client, ino, 0, 1 << 20, 32768, &s);
+    EXPECT_EQ(s.ops, 32u);
+    expect_clean(s);
     // The second sweep was served from the target's wire cache: at most a
     // couple of metadata re-reads touched the disks.
     EXPECT_LE(tb.store().reads(), disk_reads + 2);
@@ -119,7 +109,7 @@ TEST(WireTarget, WritesAreIngestedForFreeReads) {
   Testbed tb(cfg);
   tb.start_nfs();
 
-  run_on(tb, [&]() -> Task<void> {
+  run_on(tb.loop(), [&]() -> Task<void> {
     auto& client = tb.nfs_client(0);
     auto fh = co_await client.create(fs::kRootIno, "w.bin");
     EXPECT_TRUE(fh);
