@@ -62,7 +62,10 @@ Point run_one(PassMode mode, double data_fraction, const BenchOptions& opts) {
   sc.seed = 7;
 
   const int workers_per_client = opts.smoke ? 8 : 32;
-  // Warm round: touch the whole active set sequentially, then mix.
+  // Warm round: touch the whole active set sequentially, then mix. The
+  // warm flusher keeps a pointer to `warm` until its next wake-up after
+  // the round, so the flag lives as long as the testbed.
+  workload::StopFlag warm;
   {
     auto warm_fn = [&]() -> Task<void> {
       for (const auto& f : files->entries) {
@@ -71,7 +74,6 @@ Point run_one(PassMode mode, double data_fraction, const BenchOptions& opts) {
       }
     };
     sim::sync_wait(tb.loop(), warm_fn());
-    workload::StopFlag warm;
     workload::Stream ws;
     for (int ci = 0; ci < tb.client_count(); ++ci) {
       for (int w = 0; w < workers_per_client; ++w) {
