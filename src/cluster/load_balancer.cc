@@ -1,5 +1,7 @@
 #include "cluster/load_balancer.h"
 
+#include <array>
+
 #include "common/bytes.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -69,8 +71,8 @@ std::uint64_t LoadBalancer::route_key(proto::Ipv4Addr src_ip,
     // handle) right after the RPC header — one fixed-offset peek routes
     // all procedures file-affinely without parsing per-procedure bodies.
     try {
-      auto head = msg.peek_bytes(nfs::kCallHeaderBytes + 8);
-      ByteReader r(head);
+      std::array<std::byte, nfs::kCallHeaderBytes + 8> head;
+      ByteReader r(msg.peek_into(head));
       r.skip(nfs::kCallHeaderBytes);
       ++stats_.content_routes;
       return HashRing::mix64(r.u64());
@@ -149,8 +151,8 @@ void LoadBalancer::on_control(proto::Ipv4Addr /*src_ip*/,
   // depth — zero-suppressed by the replica, so idle clusters put exactly
   // the same bytes on the wire as before the field existed.
   const bool has_qdepth = msg.size() >= 16;
-  auto bytes = msg.peek_bytes(has_qdepth ? 16 : 12);
-  ByteReader r(bytes);
+  std::array<std::byte, 16> buf;
+  ByteReader r(msg.peek_into(std::span(buf).first(has_qdepth ? 16 : 12)));
   if (PeerMsg(r.u32()) != PeerMsg::HeartbeatAck) return;
   std::uint32_t seq = r.u32();
   std::uint32_t id = r.u32();

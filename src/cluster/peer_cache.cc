@@ -1,6 +1,7 @@
 #include "cluster/peer_cache.h"
 
 #include <algorithm>
+#include <array>
 
 #include "cluster/epoch.h"
 #include "common/bytes.h"
@@ -424,14 +425,14 @@ void PeerCache::on_datagram(proto::Ipv4Addr src_ip, std::uint16_t src_port,
                             proto::Ipv4Addr dst_ip, std::uint16_t /*dst_port*/,
                             MsgBuffer msg) {
   if (!running_ || msg.size() < 4) return;
-  auto type_bytes = msg.peek_bytes(4);
-  ByteReader tr(type_bytes);
+  std::array<std::byte, 4> type_bytes;
+  ByteReader tr(msg.peek_into(type_bytes));
   auto type = PeerMsg(tr.u32());
   switch (type) {
     case PeerMsg::Fetch: {
       if (msg.size() < kFetchHeadBytes) return;
-      auto bytes = msg.peek_bytes(kFetchHeadBytes);
-      ByteReader head(bytes);
+      std::array<std::byte, kFetchHeadBytes> bytes;
+      ByteReader head(msg.peek_into(bytes));
       head.skip(4);
       handle_fetch(src_ip, src_port, dst_ip, head);
       return;
@@ -443,8 +444,8 @@ void PeerCache::on_datagram(proto::Ipv4Addr src_ip, std::uint16_t src_port,
       // flatten. The version array is omitted while all-zero; datagram
       // size tells the layouts apart (payload is a whole multiple of the
       // block size).
-      auto cb = msg.peek_bytes(kFetchReplyHeadBytes);
-      ByteReader cr(cb);
+      std::array<std::byte, kFetchReplyHeadBytes> cb;
+      ByteReader cr(msg.peek_into(cb));
       cr.skip(12);
       std::uint32_t count = cr.u32();
       if (count > kExtentBlocks) return;
@@ -468,8 +469,8 @@ void PeerCache::on_datagram(proto::Ipv4Addr src_ip, std::uint16_t src_port,
     }
     case PeerMsg::InvalidateAck: {
       if (msg.size() < 12) return;
-      auto bytes = msg.peek_bytes(12);
-      ByteReader head(bytes);
+      std::array<std::byte, 12> bytes;
+      ByteReader head(msg.peek_into(bytes));
       head.skip(4);
       handle_invalidate_ack(head);
       return;
@@ -481,8 +482,8 @@ void PeerCache::on_datagram(proto::Ipv4Addr src_ip, std::uint16_t src_port,
       // array is optional (omitted while every version is 0) — datagram
       // size tells the layouts apart, unambiguously because the payload
       // is a whole multiple of the block size.
-      auto cb = msg.peek_bytes(kTransferHeadBytes);
-      ByteReader cr(cb);
+      std::array<std::byte, kTransferHeadBytes> cb;
+      ByteReader cr(msg.peek_into(cb));
       cr.skip(12);
       std::uint32_t count = cr.u32();
       if (count == 0 || count > kExtentBlocks) return;
@@ -520,8 +521,8 @@ void PeerCache::on_datagram(proto::Ipv4Addr src_ip, std::uint16_t src_port,
     }
     case PeerMsg::Heartbeat: {
       if (msg.size() < 8) return;
-      auto bytes = msg.peek_bytes(8);
-      ByteReader head(bytes);
+      std::array<std::byte, 8> bytes;
+      ByteReader head(msg.peek_into(bytes));
       head.skip(4);
       std::uint32_t hb_seq = head.u32();
       std::vector<std::byte> ack;

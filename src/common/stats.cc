@@ -50,7 +50,9 @@ std::uint64_t LatencyHistogram::quantile_ns(double q) const noexcept {
   std::uint64_t seen = 0;
   for (int i = 0; i < kBuckets; ++i) {
     seen += buckets_[i];
-    if (seen >= target) return bucket_upper(i);
+    // A bucket's upper bound can lie up to 2x past its largest sample;
+    // no quantile may exceed the recorded extremes.
+    if (seen >= target) return std::clamp(bucket_upper(i), min_, max_);
   }
   return max_;
 }

@@ -18,7 +18,8 @@ class LatencyHistogram {
   double mean_ns() const noexcept;
   std::uint64_t max_ns() const noexcept { return max_; }
   std::uint64_t min_ns() const noexcept { return count_ ? min_ : 0; }
-  /// Approximate quantile (bucket upper bound), q in [0,1].
+  /// Approximate quantile, q in [0,1]: the upper bound of the bucket
+  /// holding the rank, clamped to [min_ns(), max_ns()].
   std::uint64_t quantile_ns(double q) const noexcept;
   void reset() noexcept;
 

@@ -13,6 +13,7 @@
 #include <exception>
 #include <functional>
 #include <optional>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 
@@ -240,6 +241,73 @@ class [[nodiscard]] Task<void> {
 
   std::coroutine_handle<promise_type> handle_;
 };
+
+/// An awaitable that is either a value computed without suspending or a
+/// Task that computes it. Cache-hit paths return the value, so a hit costs
+/// no coroutine frame and awaiting it never suspends (await_ready() is
+/// true); only a miss creates — and awaits — a frame. Callers write one
+/// `co_await f(...)` either way, and must await it at once: the ready
+/// path's side effects (hit counts, LRU touches) happen when f runs, the
+/// Task's when it is awaited.
+template <typename T>
+class [[nodiscard]] MaybeTask {
+ public:
+  MaybeTask(T value) : value_(std::move(value)) {}
+  MaybeTask(Task<T> task) : task_(std::move(task)) {}
+  MaybeTask(MaybeTask&&) noexcept = default;
+  MaybeTask& operator=(MaybeTask&&) noexcept = default;
+  /// Idempotent, like Task's: GCC 12 can destroy a co_await temporary
+  /// twice (see AwaitCallback).
+  ~MaybeTask() { value_.reset(); }
+
+  bool await_ready() const noexcept { return value_.has_value(); }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) noexcept {
+    return std::move(task_).operator co_await().await_suspend(cont);
+  }
+  T await_resume() {
+    if (value_) return std::move(*value_);
+    return std::move(task_).operator co_await().await_resume();
+  }
+
+ private:
+  std::optional<T> value_;
+  Task<T> task_;
+};
+
+/// MaybeTask<void>: done already, or a Task still to run.
+template <>
+class [[nodiscard]] MaybeTask<void> {
+ public:
+  MaybeTask() = default;
+  MaybeTask(Task<void> task) : task_(std::move(task)) {}
+
+  bool await_ready() const noexcept { return !task_.valid(); }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) noexcept {
+    return std::move(task_).operator co_await().await_suspend(cont);
+  }
+  void await_resume() {
+    if (task_.valid()) std::move(task_).operator co_await().await_resume();
+  }
+
+ private:
+  Task<void> task_;
+};
+
+namespace detail {
+template <typename T, typename F>
+Task<std::invoke_result_t<F&, T>> then_task(MaybeTask<T> m, F f) {
+  co_return f(co_await m);
+}
+}  // namespace detail
+
+/// f applied to what `m` yields: at once when `m` is ready, else by a Task
+/// that awaits `m` first. Chains a cheap step onto a resident-or-fetch
+/// lookup without giving the hit a frame.
+template <typename T, typename F>
+MaybeTask<std::invoke_result_t<F&, T>> then(MaybeTask<T> m, F f) {
+  if (m.await_ready()) return f(m.await_resume());
+  return detail::then_task(std::move(m), std::move(f));
+}
 
 /// Adapts a callback-style async API into an awaitable:
 ///

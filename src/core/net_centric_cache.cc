@@ -18,29 +18,77 @@ NetCentricCache::NetCentricCache(sim::CpuModel& cpu,
       config_(config),
       pool_("ncache", config.pool_budget_bytes) {}
 
-void NetCentricCache::drop_chunk(Chunk& c) {
-  lru_.remove(c);
-  if (c.fho && forward_.contains(*c.fho)) forward_.erase(*c.fho);
-  // Erasing from the owning index destroys the chunk; buffers unpin as
-  // their last reference (cache or in-flight frame) goes away.
+NetCentricCache::ChunkId NetCentricCache::new_chunk() {
+  if (free_ == kNil) {
+    auto block = std::make_unique<Chunk[]>(kSlabBlock);
+    ChunkId base = ChunkId(slab_.size() * kSlabBlock);
+    for (std::size_t i = kSlabBlock; i-- > 0;) {
+      block[i].next = free_;
+      free_ = base + ChunkId(i);
+    }
+    slab_.push_back(std::move(block));
+  }
+  ChunkId id = free_;
+  free_ = chunk(id).next;
+  lru_push_back(id);
+  ++chunk_count_;
+  return id;
+}
+
+void NetCentricCache::lru_unlink(ChunkId id) noexcept {
+  Chunk& c = chunk(id);
+  if (c.prev != kNil) {
+    chunk(c.prev).next = c.next;
+  } else {
+    lru_head_ = c.next;
+  }
+  if (c.next != kNil) {
+    chunk(c.next).prev = c.prev;
+  } else {
+    lru_tail_ = c.prev;
+  }
+  c.prev = c.next = kNil;
+}
+
+void NetCentricCache::lru_push_back(ChunkId id) noexcept {
+  Chunk& c = chunk(id);
+  c.prev = lru_tail_;
+  c.next = kNil;
+  if (lru_tail_ != kNil) {
+    chunk(lru_tail_).next = id;
+  } else {
+    lru_head_ = id;
+  }
+  lru_tail_ = id;
+}
+
+void NetCentricCache::drop_chunk(ChunkId id) {
+  Chunk& c = chunk(id);
+  lru_unlink(id);
+  if (c.fho) forward_.erase(*c.fho);
   if (c.lbn) {
     lbn_index_.erase(*c.lbn);
   } else if (c.fho) {
     fho_index_.erase(*c.fho);
   }
+  // Releasing the chain unpins its buffers as their last reference (cache
+  // or in-flight frame) goes away.
+  c = Chunk{};
+  c.next = free_;
+  free_ = id;
+  --chunk_count_;
 }
 
 bool NetCentricCache::evict_one() {
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    Chunk& c = *it;
-    if (c.dirty) {
+  for (ChunkId id = lru_head_; id != kNil; id = chunk(id).next) {
+    if (chunk(id).dirty) {
       // Dirty chunks are FHO data not yet flushed by the fs; the paper's
       // sizing argument (§3.4) says this should not be the LRU victim.
       ++stats_.dirty_skips;
       continue;
     }
     ++stats_.evictions;
-    drop_chunk(c);
+    drop_chunk(id);
     return true;
   }
   return false;
@@ -66,27 +114,26 @@ std::optional<std::size_t> NetCentricCache::pin_chain(MsgBuffer& chain) {
 
 bool NetCentricCache::insert_lbn(LbnKey key, MsgBuffer chain) {
   cpu_.charge(costs_.ncache_manage_ns);
-  auto it = lbn_index_.find(key);
-  if (it != lbn_index_.end()) {
+  auto pinned = pin_chain(chain);
+  if (!pinned) return false;
+  // Pinning may have evicted the old chunk; then this is a fresh insert.
+  if (const ChunkId* id = lbn_index_.find(key)) {
     // Fresh copy of a block we already hold: replace the chain.
-    auto pinned = pin_chain(chain);
-    if (!pinned) return false;
-    it->second->chain = std::move(chain);
-    it->second->pinned = *pinned;
-    it->second->inserted_at = stamp();
-    touch(*it->second);
+    Chunk& c = chunk(*id);
+    c.chain = std::move(chain);
+    c.pinned = *pinned;
+    c.inserted_at = stamp();
+    touch(*id);
     ++stats_.lbn_inserts;
     return true;
   }
-  auto pinned = pin_chain(chain);
-  if (!pinned) return false;
-  auto chunk = std::make_unique<Chunk>();
-  chunk->chain = std::move(chain);
-  chunk->lbn = key;
-  chunk->pinned = *pinned;
-  chunk->inserted_at = stamp();
-  lru_.push_back(*chunk);
-  lbn_index_.emplace(key, std::move(chunk));
+  ChunkId id = new_chunk();
+  Chunk& c = chunk(id);
+  c.chain = std::move(chain);
+  c.lbn = key;
+  c.pinned = *pinned;
+  c.inserted_at = stamp();
+  lbn_index_[key] = id;
   ++stats_.lbn_inserts;
   return true;
 }
@@ -95,61 +142,51 @@ bool NetCentricCache::insert_fho(FhoKey key, MsgBuffer chain) {
   cpu_.charge(costs_.ncache_manage_ns);
   auto pinned = pin_chain(chain);
   if (!pinned) return false;
-  auto it = fho_index_.find(key);
-  if (it != fho_index_.end()) {
-    it->second->chain = std::move(chain);
-    it->second->pinned = *pinned;
-    it->second->dirty = true;
-    it->second->inserted_at = stamp();
-    touch(*it->second);
+  if (const ChunkId* id = fho_index_.find(key)) {
+    Chunk& c = chunk(*id);
+    c.chain = std::move(chain);
+    c.pinned = *pinned;
+    c.dirty = true;
+    c.inserted_at = stamp();
+    touch(*id);
     ++stats_.fho_overwrites;
     return true;
   }
   // A re-write of a previously remapped block: drop the stale forwarding;
   // the FHO index now holds the freshest data and is consulted first.
   forward_.erase(key);
-  auto chunk = std::make_unique<Chunk>();
-  chunk->chain = std::move(chain);
-  chunk->fho = key;
-  chunk->dirty = true;
-  chunk->pinned = *pinned;
-  chunk->inserted_at = stamp();
-  lru_.push_back(*chunk);
-  fho_index_.emplace(key, std::move(chunk));
+  ChunkId id = new_chunk();
+  Chunk& c = chunk(id);
+  c.chain = std::move(chain);
+  c.fho = key;
+  c.dirty = true;
+  c.pinned = *pinned;
+  c.inserted_at = stamp();
+  fho_index_[key] = id;
   ++stats_.fho_inserts;
   return true;
 }
 
 const MsgBuffer* NetCentricCache::lookup(const CacheKey& key) {
+  const ChunkId* id = nullptr;
   if (const auto* f = std::get_if<FhoKey>(&key)) {
-    auto it = fho_index_.find(*f);
-    if (it != fho_index_.end()) {
-      ++stats_.hits;
-      touch(*it->second);
-      return &it->second->chain;
-    }
-    auto fwd = forward_.find(*f);
-    if (fwd != forward_.end()) {
-      auto lit = lbn_index_.find(fwd->second);
-      if (lit != lbn_index_.end()) {
-        ++stats_.hits;
-        ++stats_.forward_hits;
-        touch(*lit->second);
-        return &lit->second->chain;
+    id = fho_index_.find(*f);
+    if (!id) {
+      if (const LbnKey* fwd = forward_.find(*f)) {
+        id = lbn_index_.find(*fwd);
+        if (id) ++stats_.forward_hits;
       }
     }
-    ++stats_.misses;
-    return nullptr;
+  } else {
+    id = lbn_index_.find(std::get<LbnKey>(key));
   }
-  const auto& l = std::get<LbnKey>(key);
-  auto it = lbn_index_.find(l);
-  if (it == lbn_index_.end()) {
+  if (!id) {
     ++stats_.misses;
     return nullptr;
   }
   ++stats_.hits;
-  touch(*it->second);
-  return &it->second->chain;
+  touch(*id);
+  return &chunk(*id).chain;
 }
 
 bool NetCentricCache::contains_lbn(std::uint64_t lbn_block,
@@ -159,15 +196,16 @@ bool NetCentricCache::contains_lbn(std::uint64_t lbn_block,
 
 std::optional<sim::Time> NetCentricCache::lbn_inserted_at(
     std::uint64_t lbn_block, std::uint32_t target) const {
-  auto it = lbn_index_.find(LbnKey{target, lbn_block});
-  if (it == lbn_index_.end()) return std::nullopt;
-  return it->second->inserted_at;
+  const ChunkId* id = lbn_index_.find(LbnKey{target, lbn_block});
+  if (!id) return std::nullopt;
+  return chunk(*id).inserted_at;
 }
 
 std::vector<LbnKey> NetCentricCache::lbn_keys() const {
   std::vector<LbnKey> keys;
   keys.reserve(lbn_index_.size());
-  for (const auto& [key, chunk] : lbn_index_) keys.push_back(key);
+  lbn_index_.for_each(
+      [&](const LbnKey& key, ChunkId) { keys.push_back(key); });
   std::sort(keys.begin(), keys.end(), [](const LbnKey& a, const LbnKey& b) {
     return a.target != b.target ? a.target < b.target : a.lbn < b.lbn;
   });
@@ -175,42 +213,41 @@ std::vector<LbnKey> NetCentricCache::lbn_keys() const {
 }
 
 bool NetCentricCache::invalidate_lbn(const LbnKey& key) {
-  auto it = lbn_index_.find(key);
-  if (it == lbn_index_.end()) return false;
+  const ChunkId* id = lbn_index_.find(key);
+  if (!id) return false;
   cpu_.charge(costs_.ncache_manage_ns);
-  drop_chunk(*it->second);
+  drop_chunk(*id);
   return true;
 }
 
 bool NetCentricCache::remap(FhoKey fho, LbnKey lbn) {
   cpu_.charge(costs_.ncache_manage_ns);
-  auto it = fho_index_.find(fho);
-  if (it == fho_index_.end()) return false;
-
-  std::unique_ptr<Chunk> chunk = std::move(it->second);
-  fho_index_.erase(it);
+  const ChunkId* found = fho_index_.find(fho);
+  if (!found) return false;
+  ChunkId id = *found;
+  fho_index_.erase(fho);
 
   // "If the LBN cache already has an entry with the same LBN, the FHO
   // cache entry is overwritten on it because data in the FHO cache is
   // always more up-to-date." (§3.4)
-  auto existing = lbn_index_.find(lbn);
-  if (existing != lbn_index_.end()) {
+  if (const ChunkId* existing = lbn_index_.find(lbn)) {
     ++stats_.remap_overwrites;
-    drop_chunk(*existing->second);
+    drop_chunk(*existing);
   }
 
-  chunk->lbn = lbn;
-  chunk->fho = fho;  // retained for forwarding cleanup on eviction
-  chunk->dirty = false;  // the triggering flush is writing it to storage
-  chunk->inserted_at = stamp();  // remap refreshes: the flush just wrote it
+  Chunk& c = chunk(id);
+  c.lbn = lbn;
+  c.fho = fho;  // retained for forwarding cleanup on eviction
+  c.dirty = false;  // the triggering flush is writing it to storage
+  c.inserted_at = stamp();  // remap refreshes: the flush just wrote it
   forward_[fho] = lbn;
-  lbn_index_.emplace(lbn, std::move(chunk));
+  lbn_index_[lbn] = id;
   ++stats_.remaps;
   return true;
 }
 
 void NetCentricCache::clear() {
-  while (Chunk* c = lru_.front()) drop_chunk(*c);
+  while (lru_head_ != kNil) drop_chunk(lru_head_);
   forward_.clear();
 }
 

@@ -11,7 +11,8 @@
 //     file handle + offset (always dirty until remapped).
 //
 // Chunks are chained in one LRU list; every access moves a chunk to the
-// MRU end. Reclamation frees clean chunks from the LRU head; dirty FHO
+// MRU end. Both indexes and the remap forwarding table are open-addressing
+// tables over a slab of chunks (common/flat_map.h). Reclamation frees clean chunks from the LRU head; dirty FHO
 // chunks are skipped (the paper argues the much smaller fs cache always
 // flushes — and thereby remaps — them first; we keep the invariant and
 // count violations).
@@ -24,10 +25,11 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
-#include "common/intrusive_list.h"
+#include "common/flat_map.h"
 #include "common/metrics.h"
 #include "netbuf/cache_key.h"
 #include "netbuf/msg_buffer.h"
@@ -119,7 +121,7 @@ class NetCentricCache {
 
   // ---- accounting ------------------------------------------------------------
   const NetCacheStats& stats() const noexcept { return stats_; }
-  std::size_t chunk_count() const noexcept { return lru_.size(); }
+  std::size_t chunk_count() const noexcept { return chunk_count_; }
   std::size_t pinned_bytes() const noexcept { return pool_.in_use(); }
   std::size_t budget_bytes() const noexcept { return pool_.budget(); }
   const Config& config() const noexcept { return config_; }
@@ -132,13 +134,21 @@ class NetCentricCache {
                         const std::string& prefix);
 
  private:
-  struct Chunk : ListHook {
+  /// Chunks live in a slab and are named by index: the indexes map keys to
+  /// slab indices, and the LRU chain links indices (the index-linked LRU
+  /// of an embedded buffer cache), so a hit costs one flat-table probe and
+  /// no pointer chase through a node.
+  using ChunkId = std::uint32_t;
+  static constexpr ChunkId kNil = ~ChunkId(0);
+  struct Chunk {
     netbuf::MsgBuffer chain;
     std::optional<netbuf::LbnKey> lbn;
     std::optional<netbuf::FhoKey> fho;
     bool dirty = false;
     std::size_t pinned = 0;  ///< bytes charged to the pool for this chunk
     sim::Time inserted_at = 0;  ///< freshness stamp (0 without a clock)
+    ChunkId prev = kNil;  ///< LRU neighbours (kNil at the ends); `next`
+    ChunkId next = kNil;  ///< also links the slab's free list
   };
 
   sim::Time stamp() const { return clock_ ? clock_() : 0; }
@@ -147,25 +157,41 @@ class NetCentricCache {
   /// Returns pinned byte count, or nullopt on failure.
   std::optional<std::size_t> pin_chain(netbuf::MsgBuffer& chain);
   bool evict_one();
-  void drop_chunk(Chunk& c);
-  void touch(Chunk& c) { lru_.move_to_back(c); }
+  void drop_chunk(ChunkId id);
+
+  Chunk& chunk(ChunkId id) noexcept {
+    return slab_[id / kSlabBlock][id % kSlabBlock];
+  }
+  const Chunk& chunk(ChunkId id) const noexcept {
+    return slab_[id / kSlabBlock][id % kSlabBlock];
+  }
+  /// A fresh chunk linked at the LRU's MRU end.
+  ChunkId new_chunk();
+  void lru_unlink(ChunkId id) noexcept;
+  void lru_push_back(ChunkId id) noexcept;
+  void touch(ChunkId id) noexcept {
+    lru_unlink(id);
+    lru_push_back(id);
+  }
 
   sim::CpuModel& cpu_;
   const sim::CostModel& costs_;
   Config config_;
   netbuf::BufferPool pool_;
 
-  std::unordered_map<netbuf::LbnKey, std::unique_ptr<Chunk>,
-                     netbuf::LbnKeyHash>
-      lbn_index_;
-  std::unordered_map<netbuf::FhoKey, std::unique_ptr<Chunk>,
-                     netbuf::FhoKeyHash>
-      fho_index_;
+  FlatMap<netbuf::LbnKey, ChunkId, netbuf::LbnKeyHash> lbn_index_;
+  FlatMap<netbuf::FhoKey, ChunkId, netbuf::FhoKeyHash> fho_index_;
   /// Remap forwarding: old FHO key -> current LBN key.
-  std::unordered_map<netbuf::FhoKey, netbuf::LbnKey, netbuf::FhoKeyHash>
-      forward_;
+  FlatMap<netbuf::FhoKey, netbuf::LbnKey, netbuf::FhoKeyHash> forward_;
 
-  IntrusiveList<Chunk> lru_;
+  /// Fixed-size blocks, so a chunk never moves once allocated and the
+  /// slab grows without copying what it holds.
+  static constexpr std::size_t kSlabBlock = 256;
+  std::vector<std::unique_ptr<Chunk[]>> slab_;
+  ChunkId free_ = kNil;       ///< free slab entries, linked through `next`
+  ChunkId lru_head_ = kNil;   ///< least recently used
+  ChunkId lru_tail_ = kNil;   ///< most recently used
+  std::size_t chunk_count_ = 0;
   NetCacheStats stats_;
   std::function<sim::Time()> clock_;
 };

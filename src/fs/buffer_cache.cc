@@ -32,6 +32,18 @@ std::span<std::byte> BufferCache::Block::writable_bytes() {
   return b->buf->data();
 }
 
+std::span<const std::byte> BufferCache::Block::view(
+    std::array<std::byte, kBlockSize>& scratch) const {
+  if (data.segments().size() == 1) {
+    if (const auto* b = std::get_if<netbuf::ByteSeg>(&data.segments()[0])) {
+      return b->view();
+    }
+  }
+  auto out = std::span(scratch).first(data.size());
+  data.copy_out(out);
+  return out;
+}
+
 BufferCache::BufferCache(sim::EventLoop& loop, iscsi::BlockClient& client,
                          std::size_t capacity_blocks,
                          std::size_t readahead_blocks)
@@ -42,31 +54,38 @@ BufferCache::BufferCache(sim::EventLoop& loop, iscsi::BlockClient& client,
 
 void BufferCache::touch(Block& b) { lru_.move_to_back(b); }
 
+void BufferCache::unmap(std::uint64_t lbn) {
+  Slot* s = table_.find(lbn);
+  s->block = nullptr;
+  --resident_;
+  if (!s->inflight) table_.erase(lbn);
+}
+
 BufferCache::BlockPtr BufferCache::install(std::uint64_t lbn,
                                            MsgBuffer content, bool metadata) {
-  auto it = map_.find(lbn);
-  if (it != map_.end()) {
+  Slot& slot = table_[lbn];
+  if (slot.block) {
     // Raced with another installer (e.g. overlapping run fetch): keep the
     // existing block, which may already be dirty.
-    return it->second;
+    return slot.block;
   }
   auto block = std::make_shared<Block>();
   block->lbn = lbn;
   block->data = std::move(content);
   block->metadata = metadata;
   block->valid = true;
-  map_[lbn] = block;
+  slot.block = block;
+  ++resident_;
   lru_.push_back(*block);
   return block;
 }
 
 Task<void> BufferCache::ensure_space(std::size_t incoming) {
-  while (map_.size() + incoming > capacity_) {
+  while (resident_ + incoming > capacity_) {
     // Pass 1: clean, unreferenced blocks from the LRU head.
     Block* victim = nullptr;
     for (auto& b : lru_) {
-      auto it = map_.find(b.lbn);
-      if (!b.dirty && it->second.use_count() == 1) {
+      if (!b.dirty && resident(b.lbn)->use_count() == 1) {
         victim = &b;
         break;
       }
@@ -74,14 +93,13 @@ Task<void> BufferCache::ensure_space(std::size_t incoming) {
     if (victim) {
       ++stats_.evictions;
       lru_.remove(*victim);
-      map_.erase(victim->lbn);
+      unmap(victim->lbn);
       continue;
     }
     // Pass 2: flush the least-recently-used dirty, unreferenced block.
     Block* dirty = nullptr;
     for (auto& b : lru_) {
-      auto it = map_.find(b.lbn);
-      if (b.dirty && it->second.use_count() == 1) {
+      if (b.dirty && resident(b.lbn)->use_count() == 1) {
         dirty = &b;
         break;
       }
@@ -92,12 +110,12 @@ Task<void> BufferCache::ensure_space(std::size_t incoming) {
       NC_DEBUG("bufcache", "all blocks pinned; overflowing capacity");
       co_return;
     }
-    BlockPtr keep = map_[dirty->lbn];
+    BlockPtr keep = *resident(dirty->lbn);
     co_await flush_block(keep);
-    if (keep->linked() && keep.use_count() == 2) {  // map + keep
+    if (keep->linked() && keep.use_count() == 2) {  // table + keep
       ++stats_.evictions;
       lru_.remove(*keep);
-      map_.erase(keep->lbn);
+      unmap(keep->lbn);
     }
   }
 }
@@ -112,24 +130,67 @@ Task<void> BufferCache::fetch_run(std::uint64_t lbn, std::uint32_t count,
   for (std::uint32_t i = 0; i < count; ++i) {
     install(lbn + i, chain.slice(std::size_t(i) * kBlockSize, kBlockSize),
             metadata);
-    auto waiters = inflight_.find(lbn + i);
-    if (waiters != inflight_.end()) {
-      auto list = std::move(waiters->second);
-      inflight_.erase(waiters);
-      for (auto& w : list) w();
+    Slot* s = table_.find(lbn + i);
+    if (s->inflight) {
+      // Joiners may touch the table as they resume; take them out first.
+      auto joiners = std::move(s->joiners);
+      s->inflight = false;
+      s->joiners.clear();
+      for (auto& j : joiners) j();
     }
   }
 }
 
-Task<BufferCache::BlockPtr> BufferCache::get(std::uint64_t lbn,
-                                             bool metadata) {
-  auto blocks = co_await get_range(lbn, 1, metadata);
-  co_return blocks.at(0);
+void BufferCache::Join::await_suspend(std::coroutine_handle<> h) {
+  Slot& s = cache.table_[lbn];
+  s.inflight = true;
+  s.joiners.emplace_back([h] { h.resume(); });
 }
 
-Task<std::vector<BufferCache::BlockPtr>> BufferCache::get_range(
-    std::uint64_t lbn, std::uint32_t count, bool metadata,
-    std::uint32_t required) {
+MaybeTask<BufferCache::BlockPtr> BufferCache::get(std::uint64_t lbn,
+                                                  bool metadata) {
+  if (lbn < device_blocks_) {
+    if (const BlockPtr* b = resident(lbn)) {
+      ++stats_.hits;
+      touch(**b);
+      return *b;
+    }
+  }
+  return get_slow(lbn, metadata);
+}
+
+Task<BufferCache::BlockPtr> BufferCache::get_slow(std::uint64_t lbn,
+                                                  bool metadata) {
+  BlockPtr block;
+  co_await get_range_slow(lbn, 1, metadata, kAllRequired, {&block, 1});
+  co_return block;
+}
+
+MaybeTask<void> BufferCache::get_range(std::uint64_t lbn, std::uint32_t count,
+                                       bool metadata, std::uint32_t required,
+                                       std::span<BlockPtr> out) {
+  if (lbn + count <= device_blocks_) {
+    std::uint32_t i = 0;
+    for (; i < count; ++i) {
+      const BlockPtr* b = resident(lbn + i);
+      if (!b) break;
+      out[i] = *b;
+    }
+    if (i == count) {
+      stats_.hits += std::min(required, count);
+      for (const BlockPtr& b : out) touch(*b);
+      return {};
+    }
+    // Drop the pins taken so far: eviction must see the same reference
+    // counts the slow path would.
+    for (std::uint32_t k = 0; k < i; ++k) out[k] = nullptr;
+  }
+  return get_range_slow(lbn, count, metadata, required, out);
+}
+
+Task<void> BufferCache::get_range_slow(std::uint64_t lbn, std::uint32_t count,
+                                       bool metadata, std::uint32_t required,
+                                       std::span<BlockPtr> out) {
   if (required > count) required = count;  // kAllRequired -> count
   std::uint32_t fetch_count = count;
   if (lbn + fetch_count > device_blocks_) {
@@ -144,13 +205,11 @@ Task<std::vector<BufferCache::BlockPtr>> BufferCache::get_range(
   std::vector<std::uint64_t> waits;  // blocks someone else is fetching
   for (std::uint32_t i = 0; i < fetch_count; ++i) {
     std::uint64_t b = lbn + i;
-    bool cached = map_.contains(b);
-    bool inflight = inflight_.contains(b);
-    if (cached) {
+    if (resident(b)) {
       if (i < required) ++stats_.hits;
       continue;
     }
-    if (inflight) {
+    if (inflight(b)) {
       if (i < required) waits.push_back(b);  // only wait for required blocks
       continue;
     }
@@ -159,7 +218,7 @@ Task<std::vector<BufferCache::BlockPtr>> BufferCache::get_range(
     } else {
       ++stats_.readahead_blocks;
     }
-    inflight_[b];  // claim
+    claim(b);
     if (!runs.empty() && runs.back().start + runs.back().len == b) {
       ++runs.back().len;
     } else {
@@ -177,56 +236,47 @@ Task<std::vector<BufferCache::BlockPtr>> BufferCache::get_range(
   }
   // Wait for blocks someone else was already fetching.
   for (std::uint64_t b : waits) {
-    if (map_.contains(b)) continue;
-    AwaitCallback<bool> joined([this, b](auto resolve) {
-      auto r = std::make_shared<decltype(resolve)>(std::move(resolve));
-      inflight_[b].push_back([r] { (*r)(true); });
-    });
-    co_await joined;
+    if (resident(b)) continue;
+    co_await Join{*this, b};
   }
 
-  std::vector<BlockPtr> out;
-  out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     BlockPtr block;
     // Under heavy pressure a freshly-installed block can be evicted by a
     // concurrent reader's ensure_space before we pin it here; refetch.
     // Holding the BlockPtrs already collected keeps them safe.
     for (int attempt = 0; attempt < 16 && !block; ++attempt) {
-      auto it = map_.find(lbn + i);
-      if (it != map_.end()) {
-        block = it->second;
+      if (const BlockPtr* b = resident(lbn + i)) {
+        block = *b;
         break;
       }
-      if (!inflight_.contains(lbn + i)) {
-        inflight_[lbn + i];
+      if (!inflight(lbn + i)) {
+        claim(lbn + i);
         co_await fetch_run(lbn + i, 1, metadata);
       } else {
-        std::uint64_t b = lbn + i;
-        AwaitCallback<bool> joined([this, b](auto resolve) {
-          auto r = std::make_shared<decltype(resolve)>(std::move(resolve));
-          inflight_[b].push_back([r] { (*r)(true); });
-        });
-        co_await joined;
+        co_await Join{*this, lbn + i};
       }
     }
     if (!block) {
       throw std::runtime_error("BufferCache: cache thrashing, block lost");
     }
     touch(*block);
-    out.push_back(std::move(block));
+    out[i] = std::move(block);
   }
-  co_return out;
 }
 
-Task<BufferCache::BlockPtr> BufferCache::get_for_overwrite(std::uint64_t lbn,
-                                                           bool metadata) {
-  auto it = map_.find(lbn);
-  if (it != map_.end()) {
+MaybeTask<BufferCache::BlockPtr> BufferCache::get_for_overwrite(
+    std::uint64_t lbn, bool metadata) {
+  if (const BlockPtr* b = resident(lbn)) {
     ++stats_.hits;
-    touch(*it->second);
-    co_return it->second;
+    touch(**b);
+    return *b;
   }
+  return overwrite_slow(lbn, metadata);
+}
+
+Task<BufferCache::BlockPtr> BufferCache::overwrite_slow(std::uint64_t lbn,
+                                                        bool metadata) {
   ++stats_.misses;
   co_await ensure_space(1);
   // Full overwrite: no read needed; content arrives via the caller.
@@ -256,9 +306,9 @@ Task<void> BufferCache::flush_all() {
   // flushing is bounded by the disk array, not by one round trip at a
   // time.
   std::vector<BlockPtr> dirty;
-  for (auto& [lbn, b] : map_) {
-    if (b->dirty) dirty.push_back(b);
-  }
+  table_.for_each([&](std::uint64_t, const Slot& s) {
+    if (s.block && s.block->dirty) dirty.push_back(s.block);
+  });
   std::sort(dirty.begin(), dirty.end(),
             [](const BlockPtr& a, const BlockPtr& b) { return a->lbn < b->lbn; });
 
@@ -290,40 +340,45 @@ Task<void> BufferCache::flush_all() {
 Task<void> BufferCache::drop_all() {
   co_await flush_all();
   std::vector<BlockPtr> all;
-  for (auto& [lbn, b] : map_) all.push_back(b);
+  table_.for_each([&](std::uint64_t, const Slot& s) {
+    if (s.block) all.push_back(s.block);
+  });
   for (auto& b : all) {
     if (b.use_count() > 2) continue;  // externally pinned
     lru_.remove(*b);
-    map_.erase(b->lbn);
+    unmap(b->lbn);
   }
 }
 
 void BufferCache::discard_all() {
-  for (auto& [lbn, b] : map_) {
-    b->dirty = false;  // do NOT flush: the crash already lost these bytes
-    b->valid = false;
-    lru_.remove(*b);
-  }
-  map_.clear();
+  std::vector<std::uint64_t> lbns;
+  table_.for_each([&](std::uint64_t lbn, const Slot& s) {
+    if (!s.block) return;
+    s.block->dirty = false;  // do NOT flush: the crash lost these bytes
+    s.block->valid = false;
+    lru_.remove(*s.block);
+    lbns.push_back(lbn);
+  });
+  for (std::uint64_t lbn : lbns) unmap(lbn);
 }
 
 bool BufferCache::discard(std::uint64_t lbn) {
-  auto it = map_.find(lbn);
-  if (it == map_.end()) return false;
-  BlockPtr b = it->second;
+  const BlockPtr* p = resident(lbn);
+  if (!p) return false;
+  BlockPtr b = *p;
   b->dirty = false;  // do NOT flush: the target already holds fresher bytes
   b->valid = false;
   lru_.remove(*b);
-  map_.erase(it);
+  unmap(lbn);
   return true;
 }
 
 std::vector<std::uint64_t> BufferCache::cached_data_lbns() const {
   std::vector<std::uint64_t> out;
-  out.reserve(map_.size());
-  for (const auto& [lbn, b] : map_) {
-    if (b->valid && !b->metadata) out.push_back(lbn);
-  }
+  out.reserve(resident_);
+  table_.for_each([&](std::uint64_t lbn, const Slot& s) {
+    if (s.block && s.block->valid && !s.block->metadata) out.push_back(lbn);
+  });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -337,7 +392,7 @@ void BufferCache::register_metrics(MetricRegistry& registry,
   registry.counter(node, "fscache.readahead_blocks", &stats_.readahead_blocks);
   registry.counter(node, "fscache.coalesced_reads", &stats_.coalesced_reads);
   registry.gauge(node, "fscache.resident_blocks",
-                 [this] { return double(map_.size()); });
+                 [this] { return double(resident_); });
 }
 
 }  // namespace ncache::fs

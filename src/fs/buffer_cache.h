@@ -17,15 +17,18 @@
 // in the baseline. The cache itself never interprets them.
 #pragma once
 
-#include <functional>
+#include <array>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/intrusive_list.h"
 #include "common/task.h"
+#include "fs/layout.h"
 #include "iscsi/initiator.h"
 #include "netbuf/msg_buffer.h"
+#include "sim/inline_callback.h"
 
 namespace ncache {
 class MetricRegistry;
@@ -54,16 +57,20 @@ class BufferCache {
     /// Mutable access to physical contents; materializes a private copy if
     /// the block is non-physical or shares its buffer (metadata only).
     std::span<std::byte> writable_bytes();
-    /// Read-only flattened view (copies if fragmented).
-    std::vector<std::byte> bytes() const { return data.to_bytes(); }
+    /// Read-only view of the contents: in place when the block is one
+    /// physical segment (as every block written through writable_bytes()
+    /// is), else gathered into `scratch`.
+    std::span<const std::byte> view(
+        std::array<std::byte, kBlockSize>& scratch) const;
   };
   using BlockPtr = std::shared_ptr<Block>;
 
   BufferCache(sim::EventLoop& loop, iscsi::BlockClient& client,
               std::size_t capacity_blocks, std::size_t readahead_blocks = 0);
 
-  /// Read-through get of one block.
-  Task<BlockPtr> get(std::uint64_t lbn, bool metadata);
+  /// Read-through get of one block: ready at once (no frame) when the
+  /// block is resident.
+  MaybeTask<BlockPtr> get(std::uint64_t lbn, bool metadata);
 
   /// Gets `count` consecutive blocks, coalescing misses into as few
   /// block-client reads as possible. Blocks beyond the first `required`
@@ -74,13 +81,16 @@ class BufferCache {
   /// regular-data path and misclassify them (§3.3).
   /// `required` == count by default; pass 0 for a pure prefetch call
   /// (every block counts as read-ahead, nobody blocks on stragglers).
+  /// Fills `out` (out.size() == count) with the blocks; ready at once
+  /// when all of them are resident.
   static constexpr std::uint32_t kAllRequired = ~0u;
-  Task<std::vector<BlockPtr>> get_range(std::uint64_t lbn, std::uint32_t count,
-                                        bool metadata,
-                                        std::uint32_t required = kAllRequired);
+  MaybeTask<void> get_range(std::uint64_t lbn, std::uint32_t count,
+                            bool metadata, std::uint32_t required,
+                            std::span<BlockPtr> out);
 
-  /// Returns the block for a full overwrite without reading it first.
-  Task<BlockPtr> get_for_overwrite(std::uint64_t lbn, bool metadata);
+  /// Returns the block for a full overwrite without reading it first;
+  /// ready at once when the block is resident.
+  MaybeTask<BlockPtr> get_for_overwrite(std::uint64_t lbn, bool metadata);
 
   void mark_dirty(const BlockPtr& b);
 
@@ -94,14 +104,14 @@ class BufferCache {
   /// is flushed. External holders keep their (now invalidated) pins.
   void discard_all();
 
-  bool contains(std::uint64_t lbn) const { return map_.contains(lbn); }
+  bool contains(std::uint64_t lbn) const { return resident(lbn) != nullptr; }
 
   /// The resident block, or nullptr — no I/O, no LRU touch (cluster peers
   /// probe each other's caches through this; a probe must not look like a
   /// local access).
   BlockPtr peek(std::uint64_t lbn) const {
-    auto it = map_.find(lbn);
-    return it == map_.end() ? nullptr : it->second;
+    const BlockPtr* b = resident(lbn);
+    return b ? *b : nullptr;
   }
 
   /// Forgets one block without flushing it, dirty or not (remote write
@@ -115,7 +125,7 @@ class BufferCache {
   /// metadata blocks never peer (§3.3) and are excluded.
   std::vector<std::uint64_t> cached_data_lbns() const;
 
-  std::size_t size() const noexcept { return map_.size(); }
+  std::size_t size() const noexcept { return resident_; }
   std::size_t capacity() const noexcept { return capacity_; }
   void set_capacity(std::size_t blocks) noexcept { capacity_ = blocks; }
   void set_readahead(std::size_t blocks) noexcept { readahead_ = blocks; }
@@ -131,6 +141,40 @@ class BufferCache {
   void register_metrics(MetricRegistry& registry, const std::string& node);
 
  private:
+  /// One LBN's state: its resident block and/or an in-flight read that
+  /// later requesters join instead of issuing duplicate commands.
+  struct Slot {
+    BlockPtr block;
+    bool inflight = false;
+    std::vector<sim::InlineCallback> joiners;
+  };
+  /// Awaits the in-flight read of `lbn` (claiming it, as a join always
+  /// has, if nobody holds the claim any more).
+  struct Join {
+    BufferCache& cache;
+    std::uint64_t lbn;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h);
+    void await_resume() const noexcept {}
+  };
+
+  const BlockPtr* resident(std::uint64_t lbn) const {
+    const Slot* s = table_.find(lbn);
+    return s && s->block ? &s->block : nullptr;
+  }
+  bool inflight(std::uint64_t lbn) const {
+    const Slot* s = table_.find(lbn);
+    return s && s->inflight;
+  }
+  void claim(std::uint64_t lbn) { table_[lbn].inflight = true; }
+  /// Forgets the resident block (the slot goes once nothing is in flight).
+  void unmap(std::uint64_t lbn);
+
+  Task<BlockPtr> get_slow(std::uint64_t lbn, bool metadata);
+  Task<BlockPtr> overwrite_slow(std::uint64_t lbn, bool metadata);
+  Task<void> get_range_slow(std::uint64_t lbn, std::uint32_t count,
+                            bool metadata, std::uint32_t required,
+                            std::span<BlockPtr> out);
   Task<void> ensure_space(std::size_t incoming);
   /// Fetches [lbn, lbn+count) from the client and installs the blocks.
   Task<void> fetch_run(std::uint64_t lbn, std::uint32_t count, bool metadata);
@@ -144,13 +188,9 @@ class BufferCache {
   std::size_t readahead_;
   std::uint64_t device_blocks_ = ~0ULL;
 
-  std::unordered_map<std::uint64_t, BlockPtr> map_;
+  FlatMap<std::uint64_t, Slot> table_;
+  std::size_t resident_ = 0;  ///< slots holding a block
   IntrusiveList<Block> lru_;
-
-  /// In-flight read joiners per LBN: later requesters wait instead of
-  /// issuing duplicate commands.
-  std::unordered_map<std::uint64_t, std::vector<std::function<void()>>>
-      inflight_;
 
   BufferCacheStats stats_;
 };

@@ -94,13 +94,18 @@ void Dirent::serialize(ByteWriter& w) const {
 }
 
 Dirent Dirent::parse(ByteReader& r) {
-  Dirent d;
+  DirentView v = DirentView::parse(r.bytes(kDirentSize));
+  return Dirent{v.ino, v.type, std::string(v.name)};
+}
+
+DirentView DirentView::parse(std::span<const std::byte> slot) {
+  ByteReader r(slot);
+  DirentView d;
   d.ino = r.u32();
   d.type = static_cast<InodeType>(r.u8());
   std::uint8_t len = r.u8();
   if (len > kMaxNameLen) throw std::runtime_error("Dirent: corrupt name length");
-  d.name = std::string(as_string_view(r.bytes(len)));
-  r.skip(kDirentSize - 6 - len);
+  d.name = as_string_view(r.bytes(len));
   return d;
 }
 

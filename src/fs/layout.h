@@ -92,6 +92,17 @@ struct Dirent {
   static Dirent parse(ByteReader& r);
 };
 
+/// A directory slot read in place: `name` views the slot's bytes, so a
+/// scan allocates nothing.
+struct DirentView {
+  std::uint32_t ino = 0;  ///< 0 = empty slot
+  InodeType type = InodeType::Free;
+  std::string_view name;
+
+  /// Reads one kDirentSize slot; throws on a corrupt name length.
+  static DirentView parse(std::span<const std::byte> slot);
+};
+
 /// Bit ops over a bitmap block image.
 bool bitmap_test(std::span<const std::byte> bits, std::uint64_t index);
 void bitmap_set(std::span<std::byte> bits, std::uint64_t index, bool value);

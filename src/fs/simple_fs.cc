@@ -11,6 +11,37 @@ namespace ncache::fs {
 using netbuf::MsgBuffer;
 
 namespace {
+
+/// The first directory slot of `data` for which pred(DirentView) holds.
+/// Slots are read in place: one inside a single physical segment is
+/// parsed where it lies; one that straddles segments is gathered into a
+/// stack array. Nothing is flattened and nothing is allocated.
+template <typename Pred>
+std::optional<std::size_t> find_dirent(const MsgBuffer& data, Pred pred) {
+  std::array<std::byte, kDirentSize> gather;
+  auto segs = data.segments();
+  std::size_t seg = 0;
+  std::size_t seg_start = 0;
+  for (std::size_t slot = 0; slot < kDirentsPerBlock; ++slot) {
+    std::size_t off = slot * kDirentSize;
+    while (seg < segs.size() && off >= seg_start + netbuf::seg_len(segs[seg])) {
+      seg_start += netbuf::seg_len(segs[seg]);
+      ++seg;
+    }
+    const auto* b =
+        seg < segs.size() ? std::get_if<netbuf::ByteSeg>(&segs[seg]) : nullptr;
+    std::span<const std::byte> bytes;
+    if (b && off + kDirentSize <= seg_start + b->len) {
+      bytes = b->view().subspan(off - seg_start, kDirentSize);
+    } else {
+      data.slice(off, kDirentSize).copy_out(gather);
+      bytes = gather;
+    }
+    if (pred(DirentView::parse(bytes))) return slot;
+  }
+  return std::nullopt;
+}
+
 /// Serializes a struct into an exact-size byte vector.
 template <typename T>
 std::vector<std::byte> to_block_bytes(const T& v, std::size_t pad_to) {
@@ -84,19 +115,23 @@ Task<void> SimpleFs::mount() {
 
 // --- inode table -------------------------------------------------------------
 
-Task<DiskInode> SimpleFs::load_inode(std::uint32_t ino) {
+MaybeTask<DiskInode> SimpleFs::load_inode(std::uint32_t ino) {
   InodeLocation loc = locate_inode(sb_, ino);
-  auto block = co_await cache_.get(loc.block, true);
-  auto bytes = block->bytes();
-  ByteReader r({bytes.data() + loc.offset, kInodeSize});
-  co_return DiskInode::parse(r);
+  return then(cache_.get(loc.block, true),
+              [offset = loc.offset](const BufferCache::BlockPtr& block) {
+                // Copy out just this inode, not the whole table block.
+                std::array<std::byte, kInodeSize> raw;
+                block->data.slice(offset, kInodeSize).copy_out(raw);
+                ByteReader r(raw);
+                return DiskInode::parse(r);
+              });
 }
 
 Task<void> SimpleFs::store_inode(std::uint32_t ino, const DiskInode& inode) {
   InodeLocation loc = locate_inode(sb_, ino);
   auto block = co_await cache_.get(loc.block, true);
-  std::vector<std::byte> bytes;
-  ByteWriter w(bytes);
+  std::array<std::byte, kInodeSize> bytes;
+  ByteWriter w{std::span<std::byte>(bytes)};
   inode.serialize(w);
   auto span = block->writable_bytes();
   std::memcpy(span.data() + loc.offset, bytes.data(), kInodeSize);
@@ -123,7 +158,8 @@ Task<std::uint32_t> SimpleFs::alloc_block() {
                                 sb_.block_bitmap_blocks;
     auto block = co_await cache_.get(sb_.block_bitmap_start + block_index,
                                      true);
-    auto bytes = block->bytes();
+    std::array<std::byte, kBlockSize> scratch;
+    auto bytes = block->view(scratch);
     std::uint64_t base = block_index * bits_per_block;
     std::uint64_t limit =
         std::min<std::uint64_t>(bits_per_block, sb_.total_blocks - base);
@@ -152,7 +188,8 @@ Task<void> SimpleFs::free_block(std::uint32_t lbn) {
 Task<std::uint32_t> SimpleFs::alloc_inode() {
   for (std::uint32_t bi = 0; bi < sb_.inode_bitmap_blocks; ++bi) {
     auto block = co_await cache_.get(sb_.inode_bitmap_start + bi, true);
-    auto bytes = block->bytes();
+    std::array<std::byte, kBlockSize> scratch;
+    auto bytes = block->view(scratch);
     std::uint64_t base = std::uint64_t(bi) * kBlockSize * 8;
     std::uint64_t limit =
         std::min<std::uint64_t>(kBlockSize * 8, sb_.inode_count - base);
@@ -171,14 +208,16 @@ Task<void> SimpleFs::free_inode(std::uint32_t ino) {
 
 // --- block mapping -----------------------------------------------------------
 
-Task<std::uint32_t> SimpleFs::read_ptr(std::uint32_t block_lbn,
-                                       std::size_t slot) {
-  auto block = co_await cache_.get(block_lbn, true);
-  // Gather just the one pointer, not the whole block.
-  std::array<std::byte, 4> raw;
-  block->data.slice(slot * 4, 4).copy_out(raw);
-  ByteReader r(raw);
-  co_return r.u32();
+MaybeTask<std::uint32_t> SimpleFs::read_ptr(std::uint32_t block_lbn,
+                                            std::size_t slot) {
+  return then(cache_.get(block_lbn, true),
+              [slot](const BufferCache::BlockPtr& block) {
+                // Gather just the one pointer, not the whole block.
+                std::array<std::byte, 4> raw;
+                block->data.slice(slot * 4, 4).copy_out(raw);
+                ByteReader r(raw);
+                return r.u32();
+              });
 }
 
 Task<void> SimpleFs::write_ptr(std::uint32_t block_lbn, std::size_t slot,
@@ -192,23 +231,32 @@ Task<void> SimpleFs::write_ptr(std::uint32_t block_lbn, std::size_t slot,
   cache_.mark_dirty(block);
 }
 
-Task<std::uint32_t> SimpleFs::bmap(const DiskInode& inode,
-                                   std::uint64_t fb) {
-  if (fb < kDirectBlocks) co_return inode.direct[fb];
+MaybeTask<std::uint32_t> SimpleFs::bmap(const DiskInode& inode,
+                                        std::uint64_t fb) {
+  if (fb < kDirectBlocks) return inode.direct[fb];
   fb -= kDirectBlocks;
   if (fb < kPointersPerBlock) {
-    if (inode.indirect == kInvalidBlock) co_return kInvalidBlock;
-    co_return co_await read_ptr(inode.indirect, fb);
+    if (inode.indirect == kInvalidBlock) return kInvalidBlock;
+    return read_ptr(inode.indirect, fb);
   }
   fb -= kPointersPerBlock;
-  if (fb < kPointersPerBlock * kPointersPerBlock) {
-    if (inode.double_indirect == kInvalidBlock) co_return kInvalidBlock;
-    std::uint32_t l1 =
-        co_await read_ptr(inode.double_indirect, fb / kPointersPerBlock);
-    if (l1 == kInvalidBlock) co_return kInvalidBlock;
-    co_return co_await read_ptr(l1, fb % kPointersPerBlock);
+  if (fb >= kPointersPerBlock * kPointersPerBlock ||
+      inode.double_indirect == kInvalidBlock) {
+    return kInvalidBlock;
   }
-  co_return kInvalidBlock;
+  MaybeTask<std::uint32_t> l1 =
+      read_ptr(inode.double_indirect, fb / kPointersPerBlock);
+  if (!l1.await_ready()) return bmap_tail(std::move(l1), fb % kPointersPerBlock);
+  std::uint32_t l1_lbn = l1.await_resume();
+  if (l1_lbn == kInvalidBlock) return kInvalidBlock;
+  return read_ptr(l1_lbn, fb % kPointersPerBlock);
+}
+
+Task<std::uint32_t> SimpleFs::bmap_tail(MaybeTask<std::uint32_t> l1,
+                                        std::size_t slot) {
+  std::uint32_t l1_lbn = co_await l1;
+  if (l1_lbn == kInvalidBlock) co_return kInvalidBlock;
+  co_return co_await read_ptr(l1_lbn, slot);
 }
 
 Task<std::uint32_t> SimpleFs::bmap_alloc(DiskInode& inode, std::uint64_t fb) {
@@ -273,9 +321,10 @@ Task<std::uint32_t> SimpleFs::bmap_alloc(DiskInode& inode, std::uint64_t fb) {
 
 // --- public operations --------------------------------------------------------
 
-Task<FileAttr> SimpleFs::getattr(std::uint32_t ino) {
-  DiskInode in = co_await load_inode(ino);
-  co_return FileAttr{in.type, in.size, in.nlink, in.block_count};
+MaybeTask<FileAttr> SimpleFs::getattr(std::uint32_t ino) {
+  return then(load_inode(ino), [](const DiskInode& in) {
+    return FileAttr{in.type, in.size, in.nlink, in.block_count};
+  });
 }
 
 Task<std::optional<std::uint32_t>> SimpleFs::lookup(std::uint32_t dir_ino,
@@ -288,11 +337,12 @@ Task<std::optional<std::uint32_t>> SimpleFs::lookup(std::uint32_t dir_ino,
     std::uint32_t lbn = co_await bmap(dir, fb);
     if (lbn == kInvalidBlock) continue;
     auto block = co_await cache_.get(lbn, true);
-    auto bytes = block->bytes();
-    for (std::size_t slot = 0; slot < kDirentsPerBlock; ++slot) {
-      ByteReader r({bytes.data() + slot * kDirentSize, kDirentSize});
-      Dirent d = Dirent::parse(r);
-      if (d.ino != 0 && d.name == name) co_return d.ino;
+    std::uint32_t found = 0;
+    if (find_dirent(block->data, [&](const DirentView& d) {
+          found = d.ino;
+          return d.ino != 0 && d.name == name;
+        })) {
+      co_return found;
     }
   }
   co_return std::nullopt;
@@ -307,12 +357,10 @@ Task<std::vector<Dirent>> SimpleFs::readdir(std::uint32_t dir_ino) {
     std::uint32_t lbn = co_await bmap(dir, fb);
     if (lbn == kInvalidBlock) continue;
     auto block = co_await cache_.get(lbn, true);
-    auto bytes = block->bytes();
-    for (std::size_t slot = 0; slot < kDirentsPerBlock; ++slot) {
-      ByteReader r({bytes.data() + slot * kDirentSize, kDirentSize});
-      Dirent d = Dirent::parse(r);
-      if (d.ino != 0) out.push_back(std::move(d));
-    }
+    find_dirent(block->data, [&](const DirentView& d) {
+      if (d.ino != 0) out.push_back(Dirent{d.ino, d.type, std::string(d.name)});
+      return false;
+    });
   }
   co_return out;
 }
@@ -338,25 +386,23 @@ Task<std::uint32_t> SimpleFs::create(std::uint32_t dir_ino,
   ent.ino = ino;
   ent.type = type;
   ent.name = std::string(name);
-  std::vector<std::byte> ent_bytes;
-  ByteWriter w(ent_bytes);
+  std::array<std::byte, kDirentSize> ent_bytes;
+  ByteWriter w{std::span<std::byte>(ent_bytes)};
   ent.serialize(w);
 
   for (std::uint64_t fb = 0; fb < nblocks; ++fb) {
     std::uint32_t lbn = co_await bmap(dir, fb);
     if (lbn == kInvalidBlock) continue;
     auto block = co_await cache_.get(lbn, true);
-    auto bytes = block->bytes();
-    for (std::size_t slot = 0; slot < kDirentsPerBlock; ++slot) {
-      ByteReader r({bytes.data() + slot * kDirentSize, kDirentSize});
-      if (Dirent::parse(r).ino == 0) {
-        auto span = block->writable_bytes();
-        std::memcpy(span.data() + slot * kDirentSize, ent_bytes.data(),
-                    kDirentSize);
-        cache_.mark_dirty(block);
-        ++stats_.creates;
-        co_return ino;
-      }
+    auto slot = find_dirent(block->data,
+                            [](const DirentView& d) { return d.ino == 0; });
+    if (slot) {
+      auto span = block->writable_bytes();
+      std::memcpy(span.data() + *slot * kDirentSize, ent_bytes.data(),
+                  kDirentSize);
+      cache_.mark_dirty(block);
+      ++stats_.creates;
+      co_return ino;
     }
   }
   // Extend the directory by one block.
@@ -404,25 +450,25 @@ Task<bool> SimpleFs::remove(std::uint32_t dir_ino, std::string_view name) {
     std::uint32_t lbn = co_await bmap(dir, fb);
     if (lbn == kInvalidBlock) continue;
     auto block = co_await cache_.get(lbn, true);
-    auto bytes = block->bytes();
-    for (std::size_t slot = 0; slot < kDirentsPerBlock; ++slot) {
-      ByteReader r({bytes.data() + slot * kDirentSize, kDirentSize});
-      Dirent d = Dirent::parse(r);
-      if (d.ino == 0 || d.name != name) continue;
+    std::uint32_t victim_ino = 0;
+    auto slot = find_dirent(block->data, [&](const DirentView& d) {
+      victim_ino = d.ino;
+      return d.ino != 0 && d.name == name;
+    });
+    if (!slot) continue;
 
-      DiskInode victim = co_await load_inode(d.ino);
-      co_await release_blocks(victim);
-      victim.type = InodeType::Free;
-      victim.nlink = 0;
-      co_await store_inode(d.ino, victim);
-      co_await free_inode(d.ino);
+    DiskInode victim = co_await load_inode(victim_ino);
+    co_await release_blocks(victim);
+    victim.type = InodeType::Free;
+    victim.nlink = 0;
+    co_await store_inode(victim_ino, victim);
+    co_await free_inode(victim_ino);
 
-      auto span = block->writable_bytes();
-      std::memset(span.data() + slot * kDirentSize, 0, kDirentSize);
-      cache_.mark_dirty(block);
-      ++stats_.removes;
-      co_return true;
-    }
+    auto span = block->writable_bytes();
+    std::memset(span.data() + *slot * kDirentSize, 0, kDirentSize);
+    cache_.mark_dirty(block);
+    ++stats_.removes;
+    co_return true;
   }
   co_return false;
 }
@@ -442,8 +488,8 @@ Task<bool> SimpleFs::rename(std::uint32_t src_dir, std::string_view src_name,
   ent.ino = *src;
   ent.type = moved.type;
   ent.name = std::string(dst_name);
-  std::vector<std::byte> ent_bytes;
-  ByteWriter w(ent_bytes);
+  std::array<std::byte, kDirentSize> ent_bytes;
+  ByteWriter w{std::span<std::byte>(ent_bytes)};
   ent.serialize(w);
 
   DiskInode dir = co_await load_inode(dst_dir);
@@ -454,17 +500,14 @@ Task<bool> SimpleFs::rename(std::uint32_t src_dir, std::string_view src_name,
     std::uint32_t lbn = co_await bmap(dir, fb);
     if (lbn == kInvalidBlock) continue;
     auto block = co_await cache_.get(lbn, true);
-    auto bytes = block->bytes();
-    for (std::size_t slot = 0; slot < kDirentsPerBlock; ++slot) {
-      ByteReader r({bytes.data() + slot * kDirentSize, kDirentSize});
-      if (Dirent::parse(r).ino == 0) {
-        auto span = block->writable_bytes();
-        std::memcpy(span.data() + slot * kDirentSize, ent_bytes.data(),
-                    kDirentSize);
-        cache_.mark_dirty(block);
-        inserted = true;
-        break;
-      }
+    auto slot = find_dirent(block->data,
+                            [](const DirentView& d) { return d.ino == 0; });
+    if (slot) {
+      auto span = block->writable_bytes();
+      std::memcpy(span.data() + *slot * kDirentSize, ent_bytes.data(),
+                  kDirentSize);
+      cache_.mark_dirty(block);
+      inserted = true;
     }
   }
   if (!inserted) {
@@ -486,16 +529,14 @@ Task<bool> SimpleFs::rename(std::uint32_t src_dir, std::string_view src_name,
     std::uint32_t lbn = co_await bmap(sdir, fb);
     if (lbn == kInvalidBlock) continue;
     auto block = co_await cache_.get(lbn, true);
-    auto bytes = block->bytes();
-    for (std::size_t slot = 0; slot < kDirentsPerBlock; ++slot) {
-      ByteReader r({bytes.data() + slot * kDirentSize, kDirentSize});
-      Dirent d = Dirent::parse(r);
-      if (d.ino == *src && d.name == src_name) {
-        auto span = block->writable_bytes();
-        std::memset(span.data() + slot * kDirentSize, 0, kDirentSize);
-        cache_.mark_dirty(block);
-        co_return true;
-      }
+    auto slot = find_dirent(block->data, [&](const DirentView& d) {
+      return d.ino == *src && d.name == src_name;
+    });
+    if (slot) {
+      auto span = block->writable_bytes();
+      std::memset(span.data() + *slot * kDirentSize, 0, kDirentSize);
+      cache_.mark_dirty(block);
+      co_return true;
     }
   }
   co_return false;  // old slot vanished: should be unreachable
@@ -520,14 +561,29 @@ Task<netbuf::MsgBuffer> SimpleFs::read(std::uint32_t ino, std::uint64_t off,
   std::uint64_t ext_fb =
       std::min<std::uint64_t>(last_fb + cache_.readahead(), eof_fb);
 
-  std::vector<std::uint32_t> lbns;
-  lbns.reserve(ext_fb - first_fb + 1);
-  for (std::uint64_t fb = first_fb; fb <= ext_fb; ++fb) {
-    lbns.push_back(co_await bmap(in, fb));
+  // Mapped LBNs and pinned blocks live in the frame for any request up to
+  // kInlineBlocks blocks (32 KB, the NFS maximum, plus read-ahead).
+  constexpr std::size_t kInlineBlocks = 16;
+  const std::size_t mapped = std::size_t(ext_fb - first_fb + 1);
+  std::array<std::uint32_t, kInlineBlocks> inline_lbns;
+  std::array<BufferCache::BlockPtr, kInlineBlocks> inline_blocks;
+  std::vector<std::uint32_t> heap_lbns;
+  std::vector<BufferCache::BlockPtr> heap_blocks;
+  std::span<std::uint32_t> lbns(inline_lbns);
+  std::span<BufferCache::BlockPtr> blocks(inline_blocks);
+  if (mapped > kInlineBlocks) {
+    heap_lbns.resize(mapped);
+    heap_blocks.resize(mapped);
+    lbns = heap_lbns;
+    blocks = heap_blocks;
+  }
+  lbns = lbns.first(mapped);
+  blocks = blocks.first(mapped);
+  for (std::size_t k = 0; k < mapped; ++k) {
+    lbns[k] = co_await bmap(in, first_fb + k);
   }
   std::size_t needed = std::size_t(last_fb - first_fb + 1);
 
-  std::vector<BufferCache::BlockPtr> blocks(lbns.size());
   std::size_t i = 0;
   while (i < lbns.size()) {
     if (lbns[i] == kInvalidBlock) {
@@ -539,12 +595,13 @@ Task<netbuf::MsgBuffer> SimpleFs::read(std::uint32_t ino, std::uint64_t off,
     while (j < lbns.size() && lbns[j] == lbns[j - 1] + 1) ++j;
     std::uint32_t required = std::uint32_t(
         i < needed ? std::min(j, needed) - i : 0);
-    auto run = co_await cache_.get_range(lbns[i], std::uint32_t(j - i), false,
-                                         required);
-    for (std::size_t k = 0; k < run.size(); ++k) blocks[i + k] = run[k];
+    co_await cache_.get_range(lbns[i], std::uint32_t(j - i), false, required,
+                              blocks.subspan(i, j - i));
     i = j;
   }
-  blocks.resize(needed);
+  // Read-ahead blocks are cached now; stop pinning them.
+  for (std::size_t k = needed; k < mapped; ++k) blocks[k] = nullptr;
+  blocks = blocks.first(needed);
 
   MsgBuffer out;
   std::uint64_t pos = off;

@@ -47,7 +47,8 @@ class SimpleFs {
   Task<void> mount();
   bool mounted() const noexcept { return mounted_; }
 
-  Task<FileAttr> getattr(std::uint32_t ino);
+  /// Ready at once (no frame) when the inode's table block is resident.
+  MaybeTask<FileAttr> getattr(std::uint32_t ino);
   Task<std::optional<std::uint32_t>> lookup(std::uint32_t dir_ino,
                                             std::string_view name);
   /// Creates a file or directory; returns its inode (0 on failure, e.g.
@@ -86,11 +87,17 @@ class SimpleFs {
   const FsStats& stats() const noexcept { return stats_; }
 
  private:
-  Task<DiskInode> load_inode(std::uint32_t ino);
+  // The read-side helpers return MaybeTask: ready at once, with no
+  // coroutine frame, when every block they need is resident.
+  MaybeTask<DiskInode> load_inode(std::uint32_t ino);
   Task<void> store_inode(std::uint32_t ino, const DiskInode& inode);
 
   /// Maps file block index -> LBN (kInvalidBlock for holes).
-  Task<std::uint32_t> bmap(const DiskInode& inode, std::uint64_t file_block);
+  MaybeTask<std::uint32_t> bmap(const DiskInode& inode,
+                                std::uint64_t file_block);
+  /// bmap's double-indirect tail once the first level was not resident.
+  Task<std::uint32_t> bmap_tail(MaybeTask<std::uint32_t> l1,
+                                std::size_t slot);
   /// Same, allocating data/indirect blocks as needed. Mutates `inode`
   /// (caller stores it). Returns kInvalidBlock when the volume is full.
   Task<std::uint32_t> bmap_alloc(DiskInode& inode, std::uint64_t file_block);
@@ -103,7 +110,7 @@ class SimpleFs {
                             bool value);
 
   /// Reads a u32 pointer out of an (indirect) metadata block.
-  Task<std::uint32_t> read_ptr(std::uint32_t block_lbn, std::size_t slot);
+  MaybeTask<std::uint32_t> read_ptr(std::uint32_t block_lbn, std::size_t slot);
   Task<void> write_ptr(std::uint32_t block_lbn, std::size_t slot,
                        std::uint32_t value);
 

@@ -1,5 +1,7 @@
 #include "iscsi/pdu.h"
 
+#include <array>
+
 #include <stdexcept>
 
 namespace ncache::iscsi {
@@ -105,8 +107,8 @@ void PduParser::feed(netbuf::MsgBuffer chunk,
   pending_.append(std::move(chunk));
   while (pending_.size() >= need_) {
     if (!header_) {
-      auto bhs = pending_.peek_bytes(kBhsBytes);
-      Pdu p = Pdu::parse_bhs(bhs);
+      std::array<std::byte, kBhsBytes> bhs;
+      Pdu p = Pdu::parse_bhs(pending_.peek_into(bhs));
       std::size_t dlen = p.data.size();  // placeholder length from header
       std::size_t pad = (4 - (dlen & 3)) & 3;
       pending_.consume(kBhsBytes);

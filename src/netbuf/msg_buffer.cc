@@ -332,11 +332,26 @@ std::vector<std::byte> MsgBuffer::to_bytes() const {
 
 std::vector<std::byte> MsgBuffer::peek_bytes(std::size_t n) const {
   if (n > size_) throw std::out_of_range("MsgBuffer::peek_bytes");
-  MsgBuffer prefix = slice(0, n);
-  if (!prefix.fully_physical()) {
-    throw std::logic_error("MsgBuffer::peek_bytes: prefix is not physical");
+  std::vector<std::byte> out(n);
+  peek_into(out);
+  return out;
+}
+
+std::span<const std::byte> MsgBuffer::peek_into(
+    std::span<std::byte> dst) const {
+  if (dst.size() > size_) throw std::out_of_range("MsgBuffer::peek_bytes");
+  std::size_t pos = 0;
+  for (const auto& s : segments()) {
+    if (pos == dst.size()) break;
+    const auto* b = std::get_if<ByteSeg>(&s);
+    if (!b) {
+      throw std::logic_error("MsgBuffer::peek_bytes: prefix is not physical");
+    }
+    std::size_t take = std::min<std::size_t>(b->len, dst.size() - pos);
+    std::memcpy(dst.data() + pos, b->view().data(), take);
+    pos += take;
   }
-  return prefix.to_bytes();
+  return dst;
 }
 
 }  // namespace ncache::netbuf

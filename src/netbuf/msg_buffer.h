@@ -130,6 +130,12 @@ class MsgBuffer {
   /// throws if the prefix is not fully physical.
   std::vector<std::byte> peek_bytes(std::size_t n) const;
 
+  /// peek_bytes() into the caller's storage: copies the first dst.size()
+  /// bytes into `dst` and returns it. Throws std::out_of_range past the
+  /// end and std::logic_error if the prefix is not fully physical. Fixed-
+  /// size header peeks use this with a stack array.
+  std::span<const std::byte> peek_into(std::span<std::byte> dst) const;
+
   void clear() noexcept { release(); }
 
  private:

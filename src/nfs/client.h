@@ -7,8 +7,7 @@
 // payload was baseline junk so integrity checks know when to apply.
 #pragma once
 
-#include <unordered_map>
-
+#include "common/flat_map.h"
 #include "common/overload.h"
 #include "common/rng.h"
 #include "netbuf/copy_engine.h"
@@ -87,14 +86,39 @@ class NfsClient {
   }
 
  private:
-  /// One RPC exchange: sends header+args (+payload), awaits the matching
-  /// reply, retransmitting on timeout. Returns the reply datagram or
-  /// nullopt after the last timeout.
-  Task<std::optional<netbuf::MsgBuffer>> call(Proc proc,
-                                              std::span<const std::byte> args,
-                                              netbuf::MsgBuffer payload = {});
+  /// One RPC exchange in flight: awaiting it sends the datagram and
+  /// resumes with the matching reply, or nullopt after the last timeout.
+  class Call {
+   public:
+    Call(NfsClient& client, std::uint32_t xid, netbuf::MsgBuffer datagram)
+        : client_(client), xid_(xid), datagram_(std::move(datagram)) {}
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h);
+    std::optional<netbuf::MsgBuffer> await_resume() {
+      return std::move(reply_);
+    }
+
+   private:
+    friend class NfsClient;
+    NfsClient& client_;
+    std::uint32_t xid_;
+    netbuf::MsgBuffer datagram_;  ///< moves into the pending entry
+    std::coroutine_handle<> waiter_;
+    std::optional<netbuf::MsgBuffer> reply_;
+  };
+
+  /// Builds the call datagram (header and args encoded on the stack, then
+  /// `payload`) under a fresh xid; retransmissions resend it as is.
+  template <typename Args>
+  Call call(Proc proc, const Args& args, netbuf::MsgBuffer payload = {});
 
   void on_datagram(netbuf::MsgBuffer msg);
+  /// Transmits attempt `n` of the pending call `xid` and arms its
+  /// retransmission timer; fails the call past kMaxAttempts or when the
+  /// retry budget refuses.
+  void attempt(std::uint32_t xid, int n);
+  /// Removes the pending call and resumes its caller with `reply`.
+  void finish(std::uint32_t xid, std::optional<netbuf::MsgBuffer> reply);
 
   proto::NetworkStack& stack_;
   proto::Ipv4Addr local_ip_;
@@ -108,12 +132,13 @@ class NfsClient {
   sim::Duration attempt_timeout(int n);
 
   struct PendingCall {
-    std::function<void(std::optional<netbuf::MsgBuffer>)> resolve;
-    std::uint64_t epoch = 0;       ///< invalidates stale timers
+    Call* call = nullptr;          ///< the awaiting caller, resumed on reply
+    netbuf::MsgBuffer datagram;    ///< what every attempt sends
+    sim::TimerHandle timer;        ///< the current attempt's retransmission
     sim::Time first_sent = 0;      ///< for the RTT sample
     bool retransmitted = false;    ///< Karn: ambiguous sample, skip
   };
-  std::unordered_map<std::uint32_t, PendingCall> pending_;
+  FlatMap<std::uint32_t, PendingCall> pending_;
   std::uint32_t next_xid_;
   NfsClientStats stats_;
 

@@ -42,16 +42,16 @@ void NfsServer::stop() {
   sock_.unbind();
   // Wake idle daemons so they can exit.
   while (!waiting_.empty()) {
-    auto w = std::move(waiting_.front());
+    NextRequest* w = waiting_.front();
     waiting_.pop_front();
-    w(std::nullopt);
+    w->waiter_.resume();  // req_ stays empty: stop
   }
 }
 
 bool NfsServer::is_data_op(const MsgBuffer& msg) {
   if (msg.size() < kCallHeaderBytes) return false;
-  auto head = msg.peek_bytes(kCallHeaderBytes);
-  ByteReader hr(head);
+  std::array<std::byte, kCallHeaderBytes> head;
+  ByteReader hr(msg.peek_into(head));
   auto call = CallHeader::parse(hr);
   if (!call) return false;
   return call->proc == Proc::Read || call->proc == Proc::Write;
@@ -79,9 +79,10 @@ void NfsServer::on_datagram(proto::Ipv4Addr sip, std::uint16_t sport,
   }
   Request req{sip, sport, dip, core, std::move(msg), stack_.loop().now()};
   if (!waiting_.empty()) {
-    auto w = std::move(waiting_.front());
+    NextRequest* w = waiting_.front();
     waiting_.pop_front();
-    w(std::move(req));
+    w->req_.emplace(std::move(req));
+    w->waiter_.resume();
     return;
   }
   if (queue_depth() >= ov.queue_limit) {
@@ -100,42 +101,46 @@ void NfsServer::on_datagram(proto::Ipv4Addr sip, std::uint16_t sport,
   stats_.queue_hwm = std::max<std::uint64_t>(stats_.queue_hwm, queue_depth());
 }
 
-Task<std::optional<NfsServer::Request>> NfsServer::next_request() {
-  while (!queue_.empty() || !meta_queue_.empty()) {
+NfsServer::NextRequest::NextRequest(NfsServer& server) : server_(server) {
+  auto& queue = server.queue_;
+  auto& meta_queue = server.meta_queue_;
+  while (!queue.empty() || !meta_queue.empty()) {
     // Metadata first: under brownout the cheap namespace ops keep being
     // served while bulk reads absorb the shedding.
-    std::deque<Request>& q = meta_queue_.empty() ? queue_ : meta_queue_;
+    std::deque<Request>& q = meta_queue.empty() ? queue : meta_queue;
     Request req = std::move(q.front());
     q.pop_front();
-    if (config_.overload.enabled) {
-      const sim::Time now = stack_.loop().now();
+    if (server.config_.overload.enabled) {
+      const sim::Time now = server.stack_.loop().now();
       const std::uint64_t sojourn = now - req.enqueued_at;
-      sojourn_.record(sojourn);
+      server.sojourn_.record(sojourn);
       // Only the data class feeds the CoDel control law — metadata is
       // exempt from sojourn shedding entirely.
-      if (&q == &queue_ && codel_.on_dequeue(now, sojourn)) {
-        ++stats_.shed;
+      if (&q == &queue && server.codel_.on_dequeue(now, sojourn)) {
+        ++server.stats_.shed;
         continue;  // silently dropped; the client's RTO resends
       }
     }
-    // Yield through the loop to keep daemon scheduling fair and to honour
-    // the AwaitCallback asynchronous-completion contract.
-    co_await sim::sleep_for(stack_.loop(), 0);
-    co_return req;
+    req_.emplace(std::move(req));
+    return;
   }
-  if (!running_) co_return std::nullopt;
-  AwaitCallback<std::optional<Request>> awaiter([this](auto resolve) {
-    auto r = std::make_shared<decltype(resolve)>(std::move(resolve));
-    waiting_.push_back([r](std::optional<Request> req) {
-      (*r)(std::move(req));
-    });
-  });
-  co_return co_await awaiter;
+  done_ = !server.running_;
+}
+
+void NfsServer::NextRequest::await_suspend(std::coroutine_handle<> h) {
+  waiter_ = h;
+  if (req_) {
+    // Yield through the loop to keep daemon scheduling fair.
+    server_.stack_.loop().schedule_in(0, [h] { h.resume(); });
+  } else {
+    server_.waiting_.push_back(this);
+  }
 }
 
 Task<void> NfsServer::daemon_loop(int /*index*/) {
   while (running_) {
-    std::optional<Request> req = co_await next_request();
+    NextRequest next(*this);
+    std::optional<Request> req = co_await next;
     if (!req) break;
     try {
       co_await handle(std::move(*req));
@@ -168,23 +173,30 @@ void NfsServer::register_metrics(MetricRegistry& registry,
   }
 }
 
-Task<Fattr> NfsServer::fattr_of(std::uint64_t fh) {
-  fs::FileAttr a = co_await fs_.getattr(std::uint32_t(fh));
-  co_return Fattr{a.type, a.size, a.nlink};
+MaybeTask<Fattr> NfsServer::fattr_of(std::uint64_t fh) {
+  return then(fs_.getattr(std::uint32_t(fh)), [](const fs::FileAttr& a) {
+    return Fattr{a.type, a.size, a.nlink};
+  });
 }
 
-std::vector<std::byte> NfsServer::reply_head(std::uint32_t xid, Status status,
-                                             std::span<const std::byte> body) {
-  std::vector<std::byte> head(kReplyHeaderBytes + body.size());
-  ByteWriter w{std::span<std::byte>(head)};
+NfsServer::ReplyHead::ReplyHead(std::uint32_t xid, Status status,
+                                std::span<const std::byte> body) {
+  std::span<std::byte> out(inline_);
+  std::size_t len = kReplyHeaderBytes + body.size();
+  if (len > out.size()) {
+    heap_.resize(len);
+    out = heap_;
+  }
+  out = out.first(len);
+  ByteWriter w{out};
   ReplyHeader{xid, status}.serialize(w);
   w.bytes(body);
-  return head;
+  bytes_ = out;
 }
 
 void NfsServer::send_reply(const Request& req, std::uint32_t xid,
                            Status status, std::span<const std::byte> body) {
-  sock_.send_meta(reply_endpoint(req), reply_head(xid, status, body));
+  sock_.send_meta(reply_endpoint(req), ReplyHead(xid, status, body));
 }
 
 Task<void> NfsServer::handle(Request req) {
@@ -199,8 +211,13 @@ Task<void> NfsServer::handle(Request req) {
     ++stats_.errors;
     co_return;
   }
-  auto head = req.msg.peek_bytes(kCallHeaderBytes);
-  ByteReader hr(head);
+  // READ and WRITE args are fixed-size: header and args come off the
+  // front of the message into one stack array.
+  std::array<std::byte, kCallHeaderBytes + kWriteArgsBytes> fixed;
+  static_assert(ReadArgs::wire_bytes() == kWriteArgsBytes);
+  auto head = req.msg.peek_into(
+      std::span(fixed).first(std::min(fixed.size(), req.msg.size())));
+  ByteReader hr(head.first(kCallHeaderBytes));
   auto call = CallHeader::parse(hr);
   if (!call) {
     ++stats_.errors;
@@ -209,16 +226,12 @@ Task<void> NfsServer::handle(Request req) {
 
   switch (call->proc) {
     case Proc::Read: {
-      auto body_bytes = req.msg.peek_bytes(
-          std::min<std::size_t>(req.msg.size(), kCallHeaderBytes + 20));
-      ByteReader br(std::span<const std::byte>(body_bytes).subspan(kCallHeaderBytes));
+      ByteReader br(head.subspan(kCallHeaderBytes));
       co_await do_read(req, *call, br);
       co_return;
     }
     case Proc::Write: {
-      auto body_bytes = req.msg.peek_bytes(std::min<std::size_t>(
-          req.msg.size(), kCallHeaderBytes + kWriteArgsBytes));
-      ByteReader br(std::span<const std::byte>(body_bytes).subspan(kCallHeaderBytes));
+      ByteReader br(head.subspan(kCallHeaderBytes));
       co_await do_write(req, *call, br, req.msg);
       co_return;
     }
@@ -254,7 +267,7 @@ Task<void> NfsServer::do_read(const Request& req, const CallHeader& call,
   sim::CpuModel::CoreGuard on_core(stack_.cpu(), req.core);
   stats_.read_bytes +=
       sock_.send_data(reply_endpoint(req),
-                      reply_head(call.xid, Status::Ok, reply_body), data,
+                      ReplyHead(call.xid, Status::Ok, reply_body), data,
                       sock::Via::ReadSendmsg);
 }
 
@@ -322,10 +335,10 @@ Task<void> NfsServer::do_metadata(const Request& req, const CallHeader& call,
                                   ByteReader& body) {
   ++stats_.metadata_ops;
   // Room for the largest fixed-size reply (a handle plus attributes);
-  // only READDIR grows past it.
-  std::vector<std::byte> reply_body;
-  reply_body.reserve(8 + Fattr::wire_bytes());
-  ByteWriter w(reply_body);
+  // only READDIR's listing needs the heap.
+  std::array<std::byte, 8 + Fattr::wire_bytes()> fixed_body;
+  ByteWriter w{std::span<std::byte>(fixed_body)};
+  std::vector<std::byte> listing;
   Status status = Status::Ok;
 
   switch (call.proc) {
@@ -409,14 +422,20 @@ Task<void> NfsServer::do_metadata(const Request& req, const CallHeader& call,
       for (auto& e : entries) {
         out.push_back(DirEntry{e.ino, e.type, std::move(e.name)});
       }
-      serialize_dir_entries(w, out);
+      ByteWriter lw(listing);
+      serialize_dir_entries(lw, out);
       break;
     }
     default:
       status = Status::Io;
       break;
   }
-  send_reply(req, call.xid, status, reply_body);
+  if (call.proc == Proc::Readdir) {
+    send_reply(req, call.xid, status, listing);
+  } else {
+    send_reply(req, call.xid, status,
+               std::span<const std::byte>(fixed_body).first(w.size()));
+  }
 }
 
 }  // namespace ncache::nfs

@@ -16,6 +16,7 @@
 // performance").
 #pragma once
 
+#include <array>
 #include <deque>
 
 #include "common/overload.h"
@@ -132,7 +133,26 @@ class NfsServer {
                    proto::Ipv4Addr dst_ip, std::uint16_t dst_port,
                    netbuf::MsgBuffer msg);
   Task<void> daemon_loop(int index);
-  Task<std::optional<Request>> next_request();
+
+  /// A daemon's wait for its next request. A queued request is taken at
+  /// once and handed over after one yield through the loop (daemon
+  /// fairness); with the queue empty the daemon parks in waiting_ until
+  /// on_datagram hands it one; a stopped server yields nullopt.
+  class NextRequest {
+   public:
+    explicit NextRequest(NfsServer& server);
+    bool await_ready() const noexcept { return done_; }
+    void await_suspend(std::coroutine_handle<> h);
+    std::optional<Request> await_resume() { return std::move(req_); }
+
+   private:
+    friend class NfsServer;
+    NfsServer& server_;
+    std::optional<Request> req_;
+    std::coroutine_handle<> waiter_;
+    bool done_ = false;  ///< stopped with nothing queued
+  };
+
   Task<void> handle(Request req);
 
   Task<void> do_read(const Request& req, const CallHeader& call,
@@ -142,15 +162,29 @@ class NfsServer {
   Task<void> do_metadata(const Request& req, const CallHeader& call,
                          ByteReader& body);
 
-  /// Serialized RPC reply header + body (metadata bytes).
-  static std::vector<std::byte> reply_head(std::uint32_t xid, Status status,
-                                           std::span<const std::byte> body);
+  /// A reply head (RPC reply header + body) built on the stack: every
+  /// fixed-size reply fits; READDIR's listing spills to the heap.
+  class ReplyHead {
+   public:
+    ReplyHead(std::uint32_t xid, Status status,
+              std::span<const std::byte> body);
+    ReplyHead(const ReplyHead&) = delete;  // bytes_ may point into inline_
+    ReplyHead& operator=(const ReplyHead&) = delete;
+    operator std::span<const std::byte>() const noexcept { return bytes_; }
+
+   private:
+    std::array<std::byte, kReplyHeaderBytes + 8 + Fattr::wire_bytes() + 4>
+        inline_;
+    std::vector<std::byte> heap_;
+    std::span<const std::byte> bytes_;
+  };
   sock::UdpSocket::Endpoint reply_endpoint(const Request& req) const {
     return {req.server_ip, req.client_ip, req.client_port};
   }
   void send_reply(const Request& req, std::uint32_t xid, Status status,
                   std::span<const std::byte> body);
-  Task<Fattr> fattr_of(std::uint64_t fh);
+  /// Post-op attributes; ready at once when the inode block is resident.
+  MaybeTask<Fattr> fattr_of(std::uint64_t fh);
 
   proto::NetworkStack& stack_;
   fs::SimpleFs& fs_;
@@ -164,7 +198,7 @@ class NfsServer {
   std::deque<Request> queue_;       ///< bulk data ops (and everything when
                                     ///< overload classification is off)
   std::deque<Request> meta_queue_;  ///< metadata ops (overload enabled only)
-  std::deque<std::function<void(std::optional<Request>)>> waiting_;
+  std::deque<NextRequest*> waiting_;  ///< parked daemons, oldest first
   int live_daemons_ = 0;
   WriteObserver on_write_;
   std::function<bool()> shed_probe_;

@@ -35,6 +35,11 @@ TcpConnection::TcpConnection(sim::EventLoop& loop, Ipv4Addr local_ip,
       snd_nxt_(iss),
       sendq_seq_(iss + 1) {}
 
+TcpConnection::~TcpConnection() {
+  loop_.cancel(rto_timer_);
+  loop_.cancel(ack_timer_);
+}
+
 std::string TcpConnection::describe() const {
   return ipv4_to_string(local_ip_) + ":" + std::to_string(local_port_) +
          "->" + ipv4_to_string(remote_ip_) + ":" + std::to_string(remote_port_);
@@ -111,6 +116,7 @@ void TcpConnection::emit_segment(std::uint8_t flags, std::uint32_t seq,
   ++stats_.segments_sent;
   stats_.bytes_sent += payload.size();
   segs_since_ack_ = 0;
+  loop_.cancel(std::exchange(ack_timer_, {}));
   emit_(*this, h, std::move(payload));
 }
 
@@ -124,13 +130,11 @@ void TcpConnection::maybe_delayed_ack() {
   }
   // Lone segment: delayed ACK so the final odd segment of a burst does not
   // strand the sender until RTO (1 ms here vs. 40 ms in deployed stacks —
-  // scaled down so it never dominates simulated latencies).
-  auto self = weak_from_this();
-  std::uint32_t expect = rcv_nxt_;
-  loop_.schedule_in(sim::kMillisecond, [self, expect] {
-    auto c = self.lock();
-    if (!c) return;
-    if (c->segs_since_ack_ > 0 && c->rcv_nxt_ == expect) c->emit_ack_now();
+  // scaled down so it never dominates simulated latencies). Any segment
+  // sent before it fires carries the ACK and cancels it.
+  ack_timer_ = loop_.schedule_in(sim::kMillisecond, [this] {
+    ack_timer_ = {};
+    emit_ack_now();
   });
 }
 
@@ -171,14 +175,15 @@ void TcpConnection::pump() {
 }
 
 void TcpConnection::arm_rto() {
-  std::uint64_t epoch = ++rto_epoch_;
-  auto self = weak_from_this();
-  loop_.schedule_in(rto_, [self, epoch] {
-    auto c = self.lock();
-    if (!c) return;
-    if (c->rto_epoch_ != epoch) return;  // superseded
-    c->on_rto();
+  loop_.cancel(rto_timer_);
+  rto_timer_ = loop_.schedule_in(rto_, [this] {
+    rto_timer_ = {};
+    on_rto();
   });
+}
+
+void TcpConnection::cancel_rto() {
+  loop_.cancel(std::exchange(rto_timer_, {}));
 }
 
 void TcpConnection::on_rto() {
@@ -235,7 +240,7 @@ void TcpConnection::handle_ack(std::uint32_t ack) {
   // while nothing is in flight.
   if (inflight_.empty()) inflight_.release();
   if (snd_una_ == snd_nxt_) {
-    ++rto_epoch_;  // cancel pending RTO: nothing outstanding
+    cancel_rto();  // nothing outstanding
   } else {
     arm_rto();
   }
@@ -280,7 +285,7 @@ void TcpConnection::on_segment(const TcpHeader& h, netbuf::MsgBuffer payload) {
       rcv_nxt_ = h.seq + 1;
       snd_una_ = h.ack;
       peer_window_ = h.window;
-      ++rto_epoch_;
+      cancel_rto();
       rto_ = kInitialRto;
       enter(State::Established);
       emit_ack_now();
@@ -299,7 +304,7 @@ void TcpConnection::on_segment(const TcpHeader& h, netbuf::MsgBuffer payload) {
     if (h.ack_flag() && h.ack == iss_ + 1) {
       snd_una_ = h.ack;
       peer_window_ = h.window;
-      ++rto_epoch_;
+      cancel_rto();
       rto_ = kInitialRto;
       enter(State::Established);
       if (auto f = std::exchange(on_established_, nullptr)) f();

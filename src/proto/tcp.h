@@ -33,7 +33,7 @@ struct TcpStats {
   std::uint64_t out_of_order = 0;
 };
 
-class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
+class TcpConnection {
  public:
   /// Emits one segment toward the peer; wired by the NetworkStack.
   using SegmentEmitter =
@@ -61,6 +61,8 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
                 std::uint16_t local_port, Ipv4Addr remote_ip,
                 std::uint16_t remote_port, std::uint32_t iss,
                 SegmentEmitter emit);
+  /// Cancels the pending timers, which point at this connection.
+  ~TcpConnection();
 
   // ---- application API -----------------------------------------------------
   /// Queues stream data; the payload may contain logical segments (the
@@ -107,7 +109,9 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
                     netbuf::MsgBuffer payload);
   void emit_ack_now();
   void maybe_delayed_ack();
+  /// Replaces any pending RTO with a fresh one `rto_` from now.
   void arm_rto();
+  void cancel_rto();
   void on_rto();
   void retransmit_front(bool fast);
   void handle_ack(std::uint32_t ack);
@@ -154,9 +158,12 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::uint32_t peer_fin_seq_ = 0;
   std::uint32_t segs_since_ack_ = 0;
 
-  // RTO.
+  // Timers. Each is cancelled the moment it can no longer do anything:
+  // the RTO when superseded or when nothing is in flight, the delayed ACK
+  // when any segment (which carries the ACK) goes out.
   sim::Duration rto_ = kInitialRto;
-  std::uint64_t rto_epoch_ = 0;  ///< invalidates stale timer callbacks
+  sim::TimerHandle rto_timer_;
+  sim::TimerHandle ack_timer_;
 
   DataHandler on_data_;
   std::function<void()> on_established_;

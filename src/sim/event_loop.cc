@@ -11,11 +11,14 @@ std::uint64_t EventLoop::process_dispatched() noexcept {
 }
 
 bool EventLoop::step() {
+  return dispatch(wheel_.pop_node());
+}
+
+bool EventLoop::dispatch(TimerWheel::Node* n) {
   // Dispatch in place: the unlinked node is stable storage, so the
   // callback runs without being moved out first. Schedules issued from
   // inside it relink other nodes only; recycle() then destroys the
   // callback and returns the node to the pool.
-  TimerWheel::Node* n = wheel_.pop_node();
   if (!n) return false;
   now_ = n->e.at;
   ++dispatched_;
@@ -33,25 +36,18 @@ std::size_t EventLoop::run() {
 
 std::size_t EventLoop::run_until(Time deadline) {
   std::size_t n = 0;
-  // peek() may advance the wheel cursor past `deadline`; the wheel's ready
-  // batch stays valid for schedules landing in (now, batch time), so this
-  // is safe even when we stop short of the next event.
-  while (const TimerWheel::Entry* next = wheel_.peek()) {
-    if (next->at > deadline) break;
-    step();
-    ++n;
-  }
+  // The wheel's cursor stops at `deadline` at the latest, so schedules
+  // made after this returns land in the wheel, not in a ready batch that
+  // ran ahead of the clock.
+  while (dispatch(wheel_.pop_node(deadline))) ++n;
   if (now_ < deadline) now_ = deadline;
   return n;
 }
 
 std::size_t EventLoop::run_before(Time horizon) {
+  if (horizon == 0) return 0;
   std::size_t n = 0;
-  while (const TimerWheel::Entry* next = wheel_.peek()) {
-    if (next->at >= horizon) break;
-    step();
-    ++n;
-  }
+  while (dispatch(wheel_.pop_node(horizon - 1))) ++n;
   return n;
 }
 

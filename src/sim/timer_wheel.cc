@@ -22,10 +22,23 @@ constexpr auto kEarlier = [](const auto* a, const auto* b) noexcept {
 
 }  // namespace
 
+TimerWheel::~TimerWheel() {
+  // A callback may own an object whose destructor cancels its own timer.
+  // Retire every node first, so such a cancel finds a stale handle, and
+  // destroy the callbacks while every pool block is still allocated.
+  for (auto& block : blocks_) {
+    for (std::size_t i = 0; i < kBlockNodes; ++i) block[i].e.seq = kNoSeq;
+  }
+  for (auto& block : blocks_) {
+    for (std::size_t i = 0; i < kBlockNodes; ++i) block[i].e.fn = nullptr;
+  }
+}
+
 void TimerWheel::grow_pool() {
   blocks_.push_back(std::make_unique<Node[]>(kBlockNodes));
   Node* block = blocks_.back().get();
   for (std::size_t i = 0; i < kBlockNodes; ++i) {
+    block[i].e.seq = kNoSeq;
     block[i].next = free_;
     free_ = &block[i];
   }
@@ -38,6 +51,7 @@ void TimerWheel::reserve(std::size_t entries) {
 }
 
 void TimerWheel::push_overflow(Node* n) {
+  n->prev = overflow_mark();
   overflow_.push_back(n);
   std::push_heap(overflow_.begin(), overflow_.end(), kLater);
 }
@@ -48,6 +62,36 @@ void TimerWheel::drain_overflow_at(Time t) {
     append(ready_, overflow_.back());
     overflow_.pop_back();
   }
+}
+
+void TimerWheel::cancel(Node* n) noexcept {
+  if (n->prev == overflow_mark()) {
+    // Deadlines past the horizon are rare; a scan of the heap is fine.
+    overflow_.erase(std::find(overflow_.begin(), overflow_.end(), n));
+    std::make_heap(overflow_.begin(), overflow_.end(), kLater);
+  } else {
+    List* l = &ready_;
+    int level = -1;
+    std::size_t slot = 0;
+    if (n->e.at > elapsed_) {
+      level = level_of(n->e.at);
+      slot = slot_of(n->e.at, level);
+      l = &slots_[level][slot];
+    }
+    if (n->prev) {
+      n->prev->next = n->next;
+    } else {
+      l->head = n->next;
+    }
+    if (n->next) {
+      n->next->prev = n->prev;
+    } else {
+      l->tail = n->prev;
+    }
+    if (level >= 0 && !l->head) occupied_[level] &= ~(std::uint64_t(1) << slot);
+  }
+  --size_;
+  recycle(n);
 }
 
 /// Relink paths keep batches in (at, seq) order by construction: slots
@@ -68,41 +112,65 @@ void TimerWheel::ensure_ready_sorted() {
   }
 }
 
-bool TimerWheel::fill_ready() {
+bool TimerWheel::first_slot(int& level, std::size_t& slot,
+                            Time& wheel_t) const noexcept {
+  // The first non-empty level holds the earliest pending slot: level-0
+  // entries precede the cursor's next level-1 boundary, which precedes
+  // every occupied level-1 slot, and so on up.
+  for (int l = 0; l < kLevels; ++l) {
+    auto cursor = slot_of(elapsed_, l);
+    // Occupied slots are strictly above the cursor digit at their level
+    // (equal-or-below would mean a deadline at or before the cursor).
+    std::uint64_t mask =
+        cursor + 1 >= kSlotsPerLevel
+            ? 0
+            : occupied_[l] & (~std::uint64_t(0) << (cursor + 1));
+    if (mask) {
+      level = l;
+      slot = std::size_t(std::countr_zero(mask));
+      Time span = Time(1) << ((l + 1) * kLevelBits);
+      wheel_t = (elapsed_ & ~(span - 1)) | (Time(slot) << (l * kLevelBits));
+      return true;
+    }
+  }
+  return false;
+}
+
+Time TimerWheel::next_time() const noexcept {
+  if (ready_.head) return ready_.head->e.at;
+  Time t = overflow_.empty() ? kNoLimit : overflow_.front()->e.at;
+  int level;
+  std::size_t slot;
+  Time wheel_t;
+  if (!first_slot(level, slot, wheel_t)) return t;
+  if (level == 0) return std::min(t, wheel_t);
+  // A higher-level slot spans many deadlines; its earliest is the
+  // wheel's earliest. Scanning it leaves the cursor where it is.
+  for (const Node* n = slots_[level][slot].head; n; n = n->next) {
+    t = std::min(t, n->e.at);
+  }
+  return t;
+}
+
+bool TimerWheel::fill_ready(Time limit) {
   if (ready_.head) return true;
   if (size_ == 0) return false;
 
   for (;;) {
-    // The first non-empty level holds the earliest pending slot: level-0
-    // entries precede the cursor's next level-1 boundary, which precedes
-    // every occupied level-1 slot, and so on up.
     int level = -1;
     std::size_t slot = 0;
     Time wheel_t = 0;
-    for (int l = 0; l < kLevels; ++l) {
-      auto cursor =
-          std::size_t(elapsed_ >> (l * kLevelBits)) & (kSlotsPerLevel - 1);
-      // Occupied slots are strictly above the cursor digit at their level
-      // (equal-or-below would mean a deadline at or before the cursor).
-      std::uint64_t mask =
-          cursor + 1 >= kSlotsPerLevel
-              ? 0
-              : occupied_[l] & (~std::uint64_t(0) << (cursor + 1));
-      if (mask) {
-        level = l;
-        slot = std::size_t(std::countr_zero(mask));
-        Time span = Time(1) << ((l + 1) * kLevelBits);
-        wheel_t = (elapsed_ & ~(span - 1)) | (Time(slot) << (l * kLevelBits));
-        break;
-      }
-    }
-
+    bool have_wheel = first_slot(level, slot, wheel_t);
     bool have_overflow = !overflow_.empty();
     Time overflow_t = have_overflow ? overflow_.front()->e.at : 0;
 
-    if (level < 0 && !have_overflow) return false;
+    if (!have_wheel && !have_overflow) return false;
+    bool from_overflow = !have_wheel || (have_overflow && overflow_t < wheel_t);
+    // wheel_t is the slot's region start, at or before everything in
+    // the wheel; past `limit` nothing can be ready, so the cursor stays.
+    if ((from_overflow ? overflow_t : wheel_t) > limit) return false;
 
-    if (level < 0 || (have_overflow && overflow_t < wheel_t)) {
+    if (from_overflow) {
       // Every wheel entry is at or after wheel_t, so the overflow front
       // is globally earliest; batch out all entries sharing its deadline
       // (heap pops arrive in (at, seq) order already).

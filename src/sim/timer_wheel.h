@@ -25,6 +25,18 @@
 //     delay distribution (bench/perf_core.cc asserts this via a global
 //     operator-new counter).
 //
+// Cancellation: slot lists are doubly linked, so cancel() unlinks a
+// pending node in O(1) and recycles it at once (its callback is destroyed
+// there and then, and the node is free for the next push). A dead timer
+// therefore costs nothing after it is cancelled: it never cascades, never
+// forms a batch and never moves the cursor.
+//
+// Cursor rule: the cursor advances only to a batch that is about to be
+// dispatched, or no further than a caller's explicit limit (pop_node's
+// `limit`). next_time() reads the earliest deadline without moving it.
+// A cursor that ran ahead of the clock would make every later push that
+// lands before it walk the ready list.
+//
 // Determinism contract (load-bearing: BENCH_*.json must be byte-identical
 // across same-seed runs): events fire in exactly (time, seq) order, the
 // same total order the old heap produced. A level-0 slot holds events of
@@ -53,16 +65,24 @@ class TimerWheel {
     InlineCallback fn;
   };
   /// Pool node; exposed so the event loop can dispatch callbacks in
-  /// place via pop_node()/recycle() without moving the Entry out. The
-  /// link precedes the entry so relink walks (next/at/seq) stay within
-  /// the node's first cache line; callback bytes are only touched at
-  /// dispatch.
+  /// place via pop_node()/recycle() without moving the Entry out, and
+  /// name a pending event to cancel(). The links precede the entry so
+  /// relink walks (next/at/seq) stay within the node's first cache line;
+  /// callback bytes are only touched at dispatch. `prev` sits in what
+  /// would otherwise be alignment padding before the 16-aligned entry,
+  /// so the node stays 96 bytes.
   struct Node {
     Node* next = nullptr;
+    Node* prev = nullptr;  ///< list predecessor; overflow_mark() in the heap
     Entry e;
   };
+  /// `Entry::seq` of every node that is not pending (free, or popped for
+  /// dispatch). Real sequence numbers never reach it, so (node, seq)
+  /// names one pending event and goes stale the moment it stops pending.
+  static constexpr std::uint64_t kNoSeq = ~std::uint64_t(0);
+  /// "No bound" for pop_node()/fill_ready().
+  static constexpr Time kNoLimit = ~Time(0);
 
-  TimerWheel() = default;
   TimerWheel(const TimerWheel&) = delete;
   TimerWheel& operator=(const TimerWheel&) = delete;
 
@@ -71,13 +91,17 @@ class TimerWheel {
   /// exceeds that high-water mark never allocates after this call.
   void reserve(std::size_t entries);
 
+  TimerWheel() = default;
+  ~TimerWheel();
+
   /// Inserts an entry. `at` must be >= the time of the last popped entry
   /// (the EventLoop clamps past-due schedules before calling).
-  void push(Entry e) { push(e.at, e.seq, std::move(e.fn)); }
+  Node* push(Entry e) { return push(e.at, e.seq, std::move(e.fn)); }
 
   /// Same, constructing the entry directly in its pool node — the
-  /// scheduling hot path (one callback move total).
-  void push(Time at, std::uint64_t seq, InlineCallback&& fn) {
+  /// scheduling hot path (one callback move total). Returns the node,
+  /// which names the event to cancel() while `seq` still matches.
+  Node* push(Time at, std::uint64_t seq, InlineCallback&& fn) {
     ++size_;
     Node* n = acquire();
     n->e.at = at;
@@ -89,65 +113,70 @@ class TimerWheel {
       // entries already present carry smaller sequence numbers (seq is
       // monotone), so inserting before the first strictly-later deadline
       // preserves the (at, seq) order.
-      Node** pp = &ready_.head;
-      while (*pp && (*pp)->e.at <= at) pp = &(*pp)->next;
-      n->next = *pp;
-      *pp = n;
-      if (!n->next) ready_.tail = n;
-      return;
+      Node* after = ready_.tail;
+      while (after && after->e.at > at) after = after->prev;
+      link_after(ready_, after, n);
+      return n;
     }
     if (at <= elapsed_) {
-      // Only reachable with at == elapsed_ (schedule-at-now while the
-      // current batch drains): append keeps seq order since seq is
-      // monotone.
+      // The cursor is at or past `at` (schedule-at-now while the current
+      // batch drains, or a caller bounded the cursor beyond its clock):
+      // every pending deadline so far is <= at, so appending keeps order.
       append(ready_, n);
-      return;
+      return n;
     }
     insert_wheel(n);
+    return n;
   }
 
   /// Moves the earliest entry (by (at, seq)) into `out`; false when empty.
   bool pop(Entry& out) {
+    if (!ready_.head && !fill_ready(kNoLimit)) return false;
+    out.seq = ready_.head->e.seq;
     Node* n = pop_node();
-    if (!n) return false;
     out.at = n->e.at;
-    out.seq = n->e.seq;
     out.fn = std::move(n->e.fn);
     recycle(n);
     return true;
   }
 
-  /// Zero-copy dispatch interface: unlinks the earliest node so the
-  /// caller can invoke its callback in place, then hand the node back via
-  /// recycle(). The node stays valid across interleaved push() calls (it
-  /// is off every list); recycle() destroys the callback so a popped
-  /// event never outlives its dispatch.
-  Node* pop_node() {
-    if (!ready_.head && !fill_ready()) return nullptr;
+  /// Zero-copy dispatch interface: unlinks the earliest node with a
+  /// deadline <= `limit` (nullptr if there is none) so the caller can
+  /// invoke its callback in place, then hand the node back via
+  /// recycle(). The cursor never moves past `limit`. The node stays
+  /// valid across interleaved push() calls (it is off every list and no
+  /// longer pending, so cancel() ignores it); recycle() destroys the
+  /// callback so a popped event never outlives its dispatch.
+  Node* pop_node(Time limit = kNoLimit) {
+    if (!ready_.head && !fill_ready(limit)) return nullptr;
     Node* n = ready_.head;
+    if (n->e.at > limit) return nullptr;
     ready_.head = n->next;
     if (!ready_.head) {
       ready_.tail = nullptr;
     } else {
+      ready_.head->prev = nullptr;
       // Pool nodes are scattered across blocks; start pulling the next
       // event's cache lines while this one's callback runs.
       __builtin_prefetch(ready_.head);
     }
+    n->e.seq = kNoSeq;
     --size_;
     return n;
   }
   void recycle(Node* n) noexcept {
+    n->e.seq = kNoSeq;
     n->e.fn = nullptr;
     release(n);
   }
 
-  /// Earliest pending entry without consuming it (nullptr when empty).
-  /// May advance the internal cursor; interleaved push() calls remain
-  /// valid at any time >= the last popped entry's.
-  const Entry* peek() {
-    if (!ready_.head && !fill_ready()) return nullptr;
-    return &ready_.head->e;
-  }
+  /// Removes the pending event `n` and destroys its callback at once.
+  /// The caller must know `n` is pending (its seq matches a live handle).
+  void cancel(Node* n) noexcept;
+
+  /// Earliest pending deadline, or kNoLimit when empty. Never moves the
+  /// cursor: pushes after it stay as cheap as before it.
+  Time next_time() const noexcept;
 
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
@@ -179,6 +208,7 @@ class TimerWheel {
   }
   static void append(List& l, Node* n) noexcept {
     n->next = nullptr;
+    n->prev = l.tail;
     if (l.tail) {
       l.tail->next = n;
     } else {
@@ -186,21 +216,55 @@ class TimerWheel {
     }
     l.tail = n;
   }
+  /// Links `n` after `after` (at the head when `after` is null).
+  static void link_after(List& l, Node* after, Node* n) noexcept {
+    n->prev = after;
+    n->next = after ? after->next : l.head;
+    if (n->next) {
+      n->next->prev = n;
+    } else {
+      l.tail = n;
+    }
+    if (after) {
+      after->next = n;
+    } else {
+      l.head = n;
+    }
+  }
+  /// `prev` of a node waiting in the overflow heap: an address no node
+  /// has, so cancel() can tell heap entries from list entries.
+  Node* overflow_mark() noexcept {
+    return reinterpret_cast<Node*>(&overflow_);
+  }
+  /// Level of a node in the wheel: the highest 6-bit digit in which its
+  /// deadline differs from the cursor. The cursor only ever advances to
+  /// a slot's region start (or to a deadline below every wheel entry),
+  /// so a node's level stays what insert_wheel() computed until its slot
+  /// is cascaded.
+  int level_of(Time at) const noexcept {
+    std::uint64_t diff = at ^ elapsed_;  // at > elapsed_, so diff != 0
+    return (63 - std::countl_zero(diff)) / kLevelBits;
+  }
+  static std::size_t slot_of(Time at, int level) noexcept {
+    return std::size_t(at >> (level * kLevelBits)) & (kSlotsPerLevel - 1);
+  }
   void insert_wheel(Node* n) {
-    std::uint64_t diff = n->e.at ^ elapsed_;  // at > elapsed_, so diff != 0
-    int msb = 63 - std::countl_zero(diff);
-    int level = msb / kLevelBits;
+    int level = level_of(n->e.at);
     if (level >= kLevels) {
       push_overflow(n);
       return;
     }
-    auto slot =
-        std::size_t(n->e.at >> (level * kLevelBits)) & (kSlotsPerLevel - 1);
+    auto slot = slot_of(n->e.at, level);
     append(slots_[level][slot], n);
     occupied_[level] |= std::uint64_t(1) << slot;
   }
   void grow_pool();
-  bool fill_ready();
+  /// The earliest occupied wheel slot and its region start; false when
+  /// the wheel (not counting ready and overflow) is empty.
+  bool first_slot(int& level, std::size_t& slot, Time& wheel_t) const noexcept;
+  /// Makes the earliest pending batch ready if its deadline is <= limit,
+  /// advancing the cursor no further than `limit`; false otherwise.
+  bool fill_ready(Time limit);
   void push_overflow(Node* n);
   void drain_overflow_at(Time t);
   void ensure_ready_sorted();
@@ -211,7 +275,9 @@ class TimerWheel {
   /// Earliest batch, in (at, seq) order; consumed from the head. Pushes
   /// at or before the tail's deadline insert here to keep global order.
   List ready_;
-  Time elapsed_ = 0;  ///< wheel cursor; <= every pending entry's deadline
+  /// Wheel cursor: every wheel and overflow entry lies after it, every
+  /// ready entry at or before it.
+  Time elapsed_ = 0;
   std::size_t size_ = 0;
 
   // Node pool: blocks are handed out once and recycled through free_

@@ -236,6 +236,19 @@ TEST(Stats, LatencyHistogramQuantileSingleSample) {
   EXPECT_GE(h.quantile_ns(0.5), 777u);  // bucket upper bound >= sample
 }
 
+TEST(Stats, LatencyHistogramQuantileNeverExceedsMax) {
+  // 777 ns sits in bucket 0, whose upper bound is 1 us; 3 us in the
+  // [2, 4) us bucket. Neither quantile may read past the largest sample.
+  LatencyHistogram h;
+  h.record(777);
+  EXPECT_EQ(h.quantile_ns(0.5), 777u);
+  EXPECT_EQ(h.quantile_ns(0.99), 777u);
+  h.record(3'000);
+  EXPECT_EQ(h.quantile_ns(0.99), 3'000u);
+  EXPECT_LE(h.quantile_ns(0.5), h.max_ns());
+  EXPECT_GE(h.quantile_ns(0.5), h.min_ns());
+}
+
 TEST(Stats, RunningStatSingleSample) {
   RunningStat s;
   s.add(3.5);

@@ -8,7 +8,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -44,7 +45,10 @@ Duration random_delay(std::uint64_t& rng) {
 TEST(TimerWheelDifferential, MatchesReferencePriorityQueue) {
   TimerWheel wheel;
   using Key = std::pair<Time, std::uint64_t>;  // (at, seq)
-  std::priority_queue<Key, std::vector<Key>, std::greater<Key>> ref;
+  std::set<Key> ref;
+  // Pending nodes by seq, for random cancels (a node is pending while its
+  // seq still matches, exactly the EventLoop's handle rule).
+  std::vector<std::pair<TimerWheel::Node*, std::uint64_t>> handles;
 
   std::uint64_t rng = 0xd1ffe7e57ull;
   Time now = 0;
@@ -53,17 +57,47 @@ TEST(TimerWheelDifferential, MatchesReferencePriorityQueue) {
 
   for (int i = 0; i < kOps; ++i) {
     std::uint64_t r = next_rng(rng);
-    if (!ref.empty() && r % 100 < 35) {
+    ASSERT_EQ(wheel.next_time(),
+              ref.empty() ? TimerWheel::kNoLimit : ref.begin()->first);
+    if (!ref.empty() && r % 100 < 30) {
       TimerWheel::Entry e;
       ASSERT_TRUE(wheel.pop(e));
-      Key expect = ref.top();
-      ref.pop();
+      Key expect = *ref.begin();
+      ref.erase(ref.begin());
       ASSERT_EQ(e.at, expect.first) << "op " << i;
       ASSERT_EQ(e.seq, expect.second) << "op " << i;
       now = e.at;
+    } else if (!ref.empty() && r % 100 < 40) {
+      // Bounded pop: the earliest entry if it is due by `limit`, else
+      // nothing — and the cursor must not run past `limit`, which the
+      // later order checks would catch.
+      Time limit = now + random_delay(rng);
+      TimerWheel::Node* n = wheel.pop_node(limit);
+      Key expect = *ref.begin();
+      if (expect.first > limit) {
+        ASSERT_EQ(n, nullptr) << "op " << i;
+        continue;
+      }
+      ASSERT_NE(n, nullptr) << "op " << i;
+      ASSERT_EQ(n->e.at, expect.first) << "op " << i;
+      ASSERT_EQ(n->e.seq, TimerWheel::kNoSeq) << "popped nodes go stale";
+      ref.erase(ref.begin());
+      now = n->e.at;
+      wheel.recycle(n);
+    } else if (!handles.empty() && r % 100 < 55) {
+      // Cancel a random handle; stale ones (fired or cancelled) are
+      // skipped as the EventLoop would.
+      std::size_t k = std::size_t(next_rng(rng) % handles.size());
+      auto [node, hseq] = handles[k];
+      handles[k] = handles.back();
+      handles.pop_back();
+      if (node->e.seq != hseq) continue;
+      Time at = node->e.at;
+      wheel.cancel(node);
+      ASSERT_EQ(ref.erase(Key{at, hseq}), 1u) << "op " << i;
     } else {
       Time at = now + random_delay(rng);
-      wheel.push(at, seq, InlineCallback{});
+      handles.emplace_back(wheel.push(at, seq, InlineCallback{}), seq);
       ref.emplace(at, seq);
       ++seq;
     }
@@ -74,8 +108,8 @@ TEST(TimerWheelDifferential, MatchesReferencePriorityQueue) {
   while (!ref.empty()) {
     TimerWheel::Entry e;
     ASSERT_TRUE(wheel.pop(e));
-    Key expect = ref.top();
-    ref.pop();
+    Key expect = *ref.begin();
+    ref.erase(ref.begin());
     ASSERT_EQ(e.at, expect.first);
     ASSERT_EQ(e.seq, expect.second);
   }
@@ -92,14 +126,11 @@ TEST(TimerWheelDifferential, PeekNeverDisagreesWithPop) {
   for (int i = 0; i < 50'000; ++i) {
     std::uint64_t r = next_rng(rng);
     if (!wheel.empty() && r % 3 == 0) {
-      const TimerWheel::Entry* p = wheel.peek();
-      ASSERT_NE(p, nullptr);
-      Time pat = p->at;
-      std::uint64_t pseq = p->seq;
+      Time at = wheel.next_time();
+      ASSERT_NE(at, TimerWheel::kNoLimit);
       TimerWheel::Entry e;
       ASSERT_TRUE(wheel.pop(e));
-      ASSERT_EQ(e.at, pat);
-      ASSERT_EQ(e.seq, pseq);
+      ASSERT_EQ(e.at, at);
       now = e.at;
     } else {
       wheel.push(now + random_delay(rng), seq++, InlineCallback{});
@@ -138,6 +169,112 @@ TEST(TimerWheelDifferential, EventLoopDispatchesInStableTimeOrder) {
   for (int i = 0; i < kEvents; ++i) {
     ASSERT_EQ(fired[i], ref[i].id) << "position " << i;
   }
+}
+
+}  // namespace
+}  // namespace ncache::sim
+
+namespace ncache::sim {
+namespace {
+
+TEST(EventLoopCancel, CancelledEventNeverRunsNorCounts) {
+  EventLoop loop;
+  int fired = 0;
+  TimerHandle dead = loop.schedule_in(5 * kMillisecond, [&] { fired += 100; });
+  loop.schedule_in(kMillisecond, [&] { ++fired; });
+  EXPECT_EQ(loop.pending(), 2u);
+  loop.cancel(dead);
+  EXPECT_EQ(loop.pending(), 1u);
+  EXPECT_EQ(loop.run(), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(loop.dispatched(), 1u);
+  // The clock stops at the last live event, not at the cancelled one.
+  EXPECT_EQ(loop.now(), kMillisecond);
+  EXPECT_TRUE(loop.idle());
+  loop.cancel(dead);  // stale: a no-op
+  loop.cancel(TimerHandle{});
+}
+
+TEST(EventLoopCancel, CancelDestroysTheCallbackAtOnce) {
+  EventLoop loop;
+  auto owned = std::make_shared<int>(7);
+  std::weak_ptr<int> watch = owned;
+  TimerHandle h = loop.schedule_in(kSecond, [p = std::move(owned)] {});
+  EXPECT_FALSE(watch.expired());
+  loop.cancel(h);
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(EventLoopCancel, CancelDuringOwnDispatchIsANoOp) {
+  EventLoop loop;
+  TimerHandle self;
+  int runs = 0;
+  self = loop.schedule_in(kMicrosecond, [&] {
+    ++runs;
+    loop.cancel(self);  // the event is running: nothing to cancel
+    loop.schedule_in(kMicrosecond, [&] { ++runs; });
+  });
+  loop.run();
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(loop.dispatched(), 2u);
+}
+
+TEST(EventLoopCancel, StaleHandleIgnoredAfterNodeReuse) {
+  EventLoop loop;
+  int fired = 0;
+  TimerHandle first = loop.schedule_in(kMillisecond, [&] { fired += 1; });
+  loop.cancel(first);
+  // The pool hands the freed node straight back to the next schedule.
+  TimerHandle second = loop.schedule_in(kMillisecond, [&] { fired += 10; });
+  ASSERT_EQ(second.node, first.node);
+  ASSERT_NE(second.seq, first.seq);
+  loop.cancel(first);  // names the old event, not the node's new one
+  loop.run();
+  EXPECT_EQ(fired, 10);
+
+  // Same after the first event fired rather than being cancelled.
+  TimerHandle fired_h = loop.schedule_in(kMillisecond, [&] { fired += 100; });
+  loop.run();
+  TimerHandle reused = loop.schedule_in(kMillisecond, [&] { fired += 1000; });
+  ASSERT_EQ(reused.node, fired_h.node);
+  loop.cancel(fired_h);
+  loop.run();
+  EXPECT_EQ(fired, 1110);
+}
+
+TEST(EventLoopCancel, PushAfterNextEventTimeDispatchesInOrder) {
+  EventLoop loop;
+  std::vector<int> order;
+  loop.schedule_in(200 * kMillisecond, [&] { order.push_back(3); });
+  // Reading the next event time must not move the wheel past the clock:
+  // events scheduled afterwards, before that event, still run first and
+  // in time order.
+  EXPECT_EQ(loop.next_event_time(), 200 * kMillisecond);
+  loop.schedule_in(2 * kMillisecond, [&] { order.push_back(2); });
+  loop.schedule_in(kMillisecond, [&] { order.push_back(1); });
+  EXPECT_EQ(loop.next_event_time(), kMillisecond);
+  // run_until stops the cursor at its deadline; later schedules that
+  // land between the deadline and the pending event keep their order.
+  loop.run_until(kMicrosecond);
+  loop.schedule_in(150 * kMillisecond, [&] { order.push_back(25); });
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 25, 3}));
+}
+
+TEST(EventLoopCancel, CancelFromADestructorDuringTeardownIsSafe) {
+  // A callback owning an object that cancels its own timer when
+  // destroyed — the TCP connection shape — must tear down cleanly.
+  struct Owner {
+    EventLoop* loop;
+    TimerHandle timer;
+    ~Owner() { loop->cancel(timer); }
+  };
+  auto loop = std::make_unique<EventLoop>();
+  auto owner = std::make_shared<Owner>();
+  owner->loop = loop.get();
+  owner->timer = loop->schedule_in(kSecond, nullptr);
+  loop->schedule_in(2 * kSecond, [o = std::move(owner)] {});
+  loop.reset();  // destroys the callback holding the owner
 }
 
 }  // namespace

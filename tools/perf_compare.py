@@ -8,12 +8,18 @@ rate inside those blocks (keys ending in "_per_sec") from a baseline and
 a candidate file and fails if any regressed by more than the tolerance
 (default 20%, matching run-to-run noise on a loaded CI box).
 
+It also gates heap allocations: a "heap_allocs" count may exceed its
+baseline's by at most 10%. Allocation counts repeat exactly from run to
+run of one build, so this gate carries none of the rates' wall-clock
+noise; the margin only absorbs standard-library and toolchain drift.
+
 Usage:
     perf_compare.py [--tolerance 0.20] <baseline.json> <candidate.json>
 
-Exit status: 0 when no rate regressed beyond tolerance, 1 otherwise.
-Rates present in only one file are reported but never fail the check, so
-adding a new bench row does not break an old baseline.
+Exit status: 0 when no rate regressed beyond tolerance and no allocation
+count grew beyond 10%, 1 otherwise. Values present in only one file are
+reported but never fail the check, so adding a new bench row (or a
+baseline recorded before the counter existed) does not break the gate.
 """
 
 import argparse
@@ -21,19 +27,22 @@ import json
 import sys
 
 
-def wall_rates(doc, path=""):
-    """Yields (dotted_path, value) for every *_per_sec inside a "wall"."""
+# A heap_allocs count may grow by at most this fraction of its baseline.
+ALLOC_TOLERANCE = 0.10
+
+
+def wall_values(doc, wanted, path=""):
+    """Yields (dotted_path, value) for every key inside a "wall" block for
+    which wanted(key) holds."""
     if isinstance(doc, dict):
         for key, value in doc.items():
             sub = f"{path}.{key}" if path else key
             if key == "wall" and isinstance(value, dict):
-                for rate, rv in value.items():
-                    if rate.endswith("_per_sec") and isinstance(
-                        rv, (int, float)
-                    ):
-                        yield f"{sub}.{rate}", float(rv)
+                for name, v in value.items():
+                    if wanted(name) and isinstance(v, (int, float)):
+                        yield f"{sub}.{name}", float(v)
             else:
-                yield from wall_rates(value, sub)
+                yield from wall_values(value, wanted, sub)
     elif isinstance(doc, list):
         for i, item in enumerate(doc):
             label = path
@@ -43,7 +52,17 @@ def wall_rates(doc, path=""):
                 label = f"{path}[{item['case']}]"
             else:
                 label = f"{path}[{i}]"
-            yield from wall_rates(item, label)
+            yield from wall_values(item, wanted, label)
+
+
+def wall_rates(doc):
+    """Every *_per_sec inside a "wall" block."""
+    return wall_values(doc, lambda k: k.endswith("_per_sec"))
+
+
+def wall_allocs(doc):
+    """Every heap_allocs count inside a "wall" block."""
+    return wall_values(doc, lambda k: k == "heap_allocs")
 
 
 def load(path):
@@ -82,12 +101,31 @@ def main():
             failures.append(name)
         print(f"{name:55s} {b:14.0f} -> {c:14.0f}  ({ratio:6.2f}x) {verdict}")
 
+    base_allocs = dict(wall_allocs(load(args.baseline)))
+    cand_allocs = dict(wall_allocs(load(args.candidate)))
+    grew = []
+    for name in sorted(base_allocs.keys() & cand_allocs.keys()):
+        b, c = base_allocs[name], cand_allocs[name]
+        verdict = "ok"
+        if c > b * (1.0 + ALLOC_TOLERANCE):
+            verdict = "GREW"
+            grew.append(name)
+        print(f"{name:55s} {b:14.0f} -> {c:14.0f}  "
+              f"({c / b if b > 0 else float('inf'):6.2f}x) {verdict}")
+
     if failures:
         print(f"perf_compare: {len(failures)} rate(s) slowed by more than "
               f"{args.tolerance:.0%}: {', '.join(failures)}", file=sys.stderr)
+    if grew:
+        print(f"perf_compare: {len(grew)} allocation count(s) grew by more "
+              f"than {ALLOC_TOLERANCE:.0%}: {', '.join(grew)}",
+              file=sys.stderr)
+    if failures or grew:
         return 1
     print(f"perf_compare: all {len(base)} rate(s) within "
-          f"{args.tolerance:.0%} of baseline")
+          f"{args.tolerance:.0%} of baseline, "
+          f"{len(base_allocs.keys() & cand_allocs.keys())} allocation "
+          f"count(s) within {ALLOC_TOLERANCE:.0%}")
     return 0
 
 
